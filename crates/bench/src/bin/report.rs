@@ -1,8 +1,8 @@
-//! Regenerates every evaluation artifact of the paper (DESIGN.md §4).
+//! Regenerates every evaluation artifact of the paper (§4).
 //!
 //! ```text
-//! cargo run --release -p arachnet-bench --bin report -- all
-//! cargo run --release -p arachnet-bench --bin report -- cs1 cs4 ensemble
+//! cargo run --release -p benchkit --bin report -- all
+//! cargo run --release -p benchkit --bin report -- cs1 cs4 ensemble
 //! ```
 //!
 //! Artifacts: `figure1`, `cs1`…`cs4` (E1–E4), `scaling` (E5),
@@ -215,17 +215,19 @@ fn cs4() {
     );
 
     // Negative control: congestion-only scenario must not blame a cable.
-    let scenario = toolkit::scenarios::cs4_negative_scenario();
-    let registry = toolkit::standard_registry();
+    let engine = arachnet::Engine::new(
+        std::sync::Arc::new(arachnet::DeterministicExpertModel::new()),
+        toolkit::standard_registry(),
+    );
+    engine.register_scenario("cs4-negative", toolkit::scenarios::cs4_negative_scenario());
+    let session = engine.session("cs4-negative").expect("scenario registered");
+    let scenario = session.scenario();
     let context = toolkit::catalog::query_context(&scenario.world, scenario.now, 14);
-    let model = arachnet::DeterministicExpertModel::new();
-    let system = arachnet::ArachNet::new(&model, registry.clone());
-    let solution = system
-        .generate(CaseStudy::Cs4ForensicRca.query(), &context)
+    let run = session
+        .run(CaseStudy::Cs4ForensicRca.query(), &context)
         .expect("generation succeeds");
-    let runtime = toolkit::StandardRuntime::new(scenario);
-    let report = workflow::execute(&solution.workflow, &registry, &runtime, &solution.query_args());
-    let verdict: Option<toolkit::data::VerdictData> = report
+    let verdict: Option<toolkit::data::VerdictData> = run
+        .report
         .outputs
         .values()
         .next()

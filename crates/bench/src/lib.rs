@@ -1,10 +1,10 @@
 //! # benchkit — shared evaluation helpers for benches and the report
 //! binary.
 //!
-//! The experiment ids (E1–E8, F1) map to DESIGN.md §4; every function here
-//! regenerates one of the paper's evaluation artifacts.
+//! The experiment ids (E1–E8, F1) follow the paper's §4 evaluation; every
+//! function here regenerates one of its artifacts.
 
-use arachnet::{ensemble, ArachNet, DeterministicExpertModel};
+use arachnet::{ensemble, DeterministicExpertModel};
 use arachnet_repro::{run_case_study, CaseStudy, CaseStudyRun};
 use baselines::metrics;
 use toolkit::data::{CountryTableData, TimelineData, VerdictData};
@@ -157,20 +157,23 @@ pub struct CurationExperiment {
 }
 
 pub fn curation_experiment() -> CurationExperiment {
-    let scenario = scenarios::cs2_scenario();
+    let case = CaseStudy::Cs2DisasterImpact;
+    let engine = arachnet_repro::case_study_engine(case);
+    let key = format!("cs{}", case.index());
+    let session = engine.session(&key).expect("scenario registered by case_study_engine");
+    let scenario = session.scenario();
     let context = catalog::query_context(&scenario.world, scenario.now, 10);
-    let model = DeterministicExpertModel::new();
-    let mut system = ArachNet::new(&model, catalog::standard_registry());
 
-    let query = CaseStudy::Cs2DisasterImpact.query();
-    let before = system.generate(query, &context).expect("generation succeeds");
+    let before = session.generate(case.query(), &context).expect("generation succeeds");
 
     // A corpus of successful runs (the paper's "as workflows are built and
     // run successfully, patterns emerge").
     let corpus = vec![before.summary(true), before.summary(true), before.summary(true)];
-    let outcome = system.curate(&corpus, 2).expect("curation succeeds");
+    let outcome = engine.curate(&corpus, 2).expect("curation succeeds");
 
-    let after = system.generate(query, &context).expect("generation succeeds");
+    // Sessions pin their epoch: only a fresh one sees the composites.
+    let session = engine.session(&key).expect("scenario registered by case_study_engine");
+    let after = session.generate(case.query(), &context).expect("generation succeeds");
     CurationExperiment {
         added: outcome.added.iter().map(|f| f.0.clone()).collect(),
         rejected: outcome.rejected.len(),

@@ -133,11 +133,6 @@ impl RibSnapshot {
         RibSnapshot { at: t, entries }
     }
 
-    /// Entries of one peer.
-    pub fn for_peer(&self, peer: Asn) -> impl Iterator<Item = &RibEntry> + '_ {
-        self.entries.iter().filter(move |e| e.peer == peer)
-    }
-
     /// Index by (peer, prefix) for diffing.
     pub fn index(&self) -> BTreeMap<(Asn, Ipv4Net), &RibEntry> {
         self.entries.iter().map(|e| ((e.peer, e.prefix), e)).collect()

@@ -10,18 +10,8 @@ use llm::protocol::*;
 use llm::{LanguageModel, LlmError, Prompt};
 use registry::Registry;
 
-/// Shared agent settings.
-#[derive(Debug, Clone)]
-pub struct AgentConfig {
-    /// How many times to re-prompt after a malformed completion.
-    pub max_retries: usize,
-}
-
-impl Default for AgentConfig {
-    fn default() -> Self {
-        AgentConfig { max_retries: 2 }
-    }
-}
+/// How many times an agent re-prompts after a malformed completion.
+const MAX_RETRIES: usize = 2;
 
 /// Errors an agent can surface.
 #[derive(Debug)]
@@ -62,7 +52,6 @@ impl From<LlmError> for AgentError {
 /// Shared prompt/parse/retry loop.
 fn run_task<Req: serde::Serialize, Resp: serde::de::DeserializeOwned>(
     model: &dyn LanguageModel,
-    config: &AgentConfig,
     agent: &'static str,
     system: &str,
     task: &str,
@@ -70,7 +59,7 @@ fn run_task<Req: serde::Serialize, Resp: serde::de::DeserializeOwned>(
 ) -> Result<Resp, AgentError> {
     let mut payload = serde_json::to_value(request).expect("requests serialize");
     let mut last_error = String::new();
-    for attempt in 0..=config.max_retries {
+    for attempt in 0..=MAX_RETRIES {
         let completion = model.complete(&Prompt::new(system, task, payload.clone()))?;
         match serde_json::from_str::<Resp>(&completion.text) {
             Ok(parsed) => return Ok(parsed),
@@ -89,22 +78,17 @@ fn run_task<Req: serde::Serialize, Resp: serde::de::DeserializeOwned>(
             }
         }
     }
-    Err(AgentError::Unparseable {
-        agent,
-        attempts: config.max_retries + 1,
-        last_error,
-    })
+    Err(AgentError::Unparseable { agent, attempts: MAX_RETRIES + 1, last_error })
 }
 
 /// Problem analysis & decomposition.
 pub struct QueryMind<'m> {
     model: &'m dyn LanguageModel,
-    config: AgentConfig,
 }
 
 impl<'m> QueryMind<'m> {
-    pub fn new(model: &'m dyn LanguageModel, config: AgentConfig) -> Self {
-        QueryMind { model, config }
+    pub fn new(model: &'m dyn LanguageModel) -> Self {
+        QueryMind { model }
     }
 
     /// System prompt (kept verbatim in transcripts).
@@ -125,26 +109,18 @@ impl<'m> QueryMind<'m> {
             context: context.clone(),
             registry: registry.clone(),
         };
-        run_task(
-            self.model,
-            &self.config,
-            "QueryMind",
-            Self::SYSTEM,
-            "querymind.decompose",
-            &request,
-        )
+        run_task(self.model, "QueryMind", Self::SYSTEM, "querymind.decompose", &request)
     }
 }
 
 /// Solution space exploration & design.
 pub struct WorkflowScout<'m> {
     model: &'m dyn LanguageModel,
-    config: AgentConfig,
 }
 
 impl<'m> WorkflowScout<'m> {
-    pub fn new(model: &'m dyn LanguageModel, config: AgentConfig) -> Self {
-        WorkflowScout { model, config }
+    pub fn new(model: &'m dyn LanguageModel) -> Self {
+        WorkflowScout { model }
     }
 
     pub const SYSTEM: &'static str =
@@ -165,26 +141,18 @@ impl<'m> WorkflowScout<'m> {
             registry: registry.clone(),
             variant,
         };
-        run_task(
-            self.model,
-            &self.config,
-            "WorkflowScout",
-            Self::SYSTEM,
-            "workflowscout.explore",
-            &request,
-        )
+        run_task(self.model, "WorkflowScout", Self::SYSTEM, "workflowscout.explore", &request)
     }
 }
 
 /// Solution implementation.
 pub struct SolutionWeaver<'m> {
     model: &'m dyn LanguageModel,
-    config: AgentConfig,
 }
 
 impl<'m> SolutionWeaver<'m> {
-    pub fn new(model: &'m dyn LanguageModel, config: AgentConfig) -> Self {
-        SolutionWeaver { model, config }
+    pub fn new(model: &'m dyn LanguageModel) -> Self {
+        SolutionWeaver { model }
     }
 
     pub const SYSTEM: &'static str =
@@ -207,26 +175,18 @@ impl<'m> SolutionWeaver<'m> {
             registry: registry.clone(),
             feedback,
         };
-        run_task(
-            self.model,
-            &self.config,
-            "SolutionWeaver",
-            Self::SYSTEM,
-            "solutionweaver.implement",
-            &request,
-        )
+        run_task(self.model, "SolutionWeaver", Self::SYSTEM, "solutionweaver.implement", &request)
     }
 }
 
 /// Systematic registry evolution.
 pub struct RegistryCurator<'m> {
     model: &'m dyn LanguageModel,
-    config: AgentConfig,
 }
 
 impl<'m> RegistryCurator<'m> {
-    pub fn new(model: &'m dyn LanguageModel, config: AgentConfig) -> Self {
-        RegistryCurator { model, config }
+    pub fn new(model: &'m dyn LanguageModel) -> Self {
+        RegistryCurator { model }
     }
 
     pub const SYSTEM: &'static str =
@@ -246,14 +206,7 @@ impl<'m> RegistryCurator<'m> {
             registry: registry.clone(),
             min_uses,
         };
-        run_task(
-            self.model,
-            &self.config,
-            "RegistryCurator",
-            Self::SYSTEM,
-            "registrycurator.curate",
-            &request,
-        )
+        run_task(self.model, "RegistryCurator", Self::SYSTEM, "registrycurator.curate", &request)
     }
 }
 
@@ -298,7 +251,7 @@ mod tests {
     #[test]
     fn querymind_parses_model_output() {
         let model = DeterministicExpertModel::new();
-        let qm = QueryMind::new(&model, AgentConfig::default());
+        let qm = QueryMind::new(&model);
         let d = qm
             .run(
                 "Identify the impact of severe earthquakes globally assuming a 10% infra \
@@ -314,7 +267,7 @@ mod tests {
     fn agents_recover_from_malformed_output() {
         // One corrupted completion, then a good one: the retry loop heals it.
         let model = FaultyModel::new(DeterministicExpertModel::new(), 1);
-        let qm = QueryMind::new(&model, AgentConfig { max_retries: 2 });
+        let qm = QueryMind::new(&model);
         let d = qm.run("impact of earthquakes at 10%", &context(), &mini_registry());
         assert!(d.is_ok(), "{:?}", d.err().map(|e| e.to_string()));
     }
@@ -323,12 +276,12 @@ mod tests {
     fn agents_give_up_after_retries() {
         // Corrupt more completions than the retry budget allows.
         let model = FaultyModel::new(DeterministicExpertModel::new(), 10);
-        let qm = QueryMind::new(&model, AgentConfig { max_retries: 1 });
+        let qm = QueryMind::new(&model);
         let err = qm.run("impact of earthquakes", &context(), &mini_registry()).unwrap_err();
         match err {
             AgentError::Unparseable { agent, attempts, .. } => {
                 assert_eq!(agent, "QueryMind");
-                assert_eq!(attempts, 2);
+                assert_eq!(attempts, 3);
             }
             other => panic!("expected Unparseable, got {other}"),
         }
@@ -346,7 +299,7 @@ mod tests {
         };
         let canned = serde_json::to_string(&plan).unwrap();
         let model = ScriptedModel::new(vec![("workflowscout.explore", canned.as_str())]);
-        let scout = WorkflowScout::new(&model, AgentConfig::default());
+        let scout = WorkflowScout::new(&model);
         let d = llm::expert::decompose(&DecomposeRequest {
             query: "impact of earthquakes at 10%".into(),
             context: context(),
@@ -359,7 +312,7 @@ mod tests {
     #[test]
     fn curator_runs_over_prompts() {
         let model = DeterministicExpertModel::new();
-        let curator = RegistryCurator::new(&model, AgentConfig::default());
+        let curator = RegistryCurator::new(&model);
         let corpus = vec![
             WorkflowSummary {
                 id: "w1".into(),

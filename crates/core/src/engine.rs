@@ -1,9 +1,7 @@
 //! The serving engine: sessions, registry epochs, shared artifacts.
 //!
-//! [`ArachNet`] is a batch-of-one API — one borrowed model, one owned
-//! registry, `&mut self` curation that blocks everything else. The
-//! [`Engine`] is the concurrent serving redesign on top of the same
-//! pipeline:
+//! [`Engine`] and [`Session`] are the one serving surface over the
+//! QueryMind → WorkflowScout → SolutionWeaver pipeline:
 //!
 //! * the registry is published as immutable **epochs** (`Arc<Registry>`
 //!   snapshots with a sequence number). Sessions pin the epoch they were
@@ -30,11 +28,11 @@ use scenario_forge::{Family, FamilyParams, ScenarioBlueprint, SharedWorldCache};
 use telemetry::{EventKind, MetricsSnapshot, Recorder, SpanKind, SpanStatus};
 use toolkit::{ArtifactStore, ResilienceConfig, ResilientRuntime, StandardRuntime};
 use workflow::{
-    execute_with, ExecOptions, ExecutionReport, RetryPolicy, RunHealth, Value, Workflow,
+    execute_with, ExecOptions, ExecutionReport, RetryPolicy, RunHealth, ToolRuntime, Value,
+    Workflow,
 };
 use world::Scenario;
 
-use crate::agents::AgentConfig;
 use crate::orchestrator::{
     run_curation, run_pipeline, CurationOutcome, ExpertHooks, GeneratedSolution, PipelineError,
 };
@@ -59,8 +57,6 @@ struct ScenarioSlot {
 /// to open) and safe to curate while queries are in flight.
 pub struct Engine {
     model: Arc<dyn LanguageModel>,
-    config: AgentConfig,
-    max_repairs: usize,
     workers: usize,
     retry: RetryPolicy,
     /// Fault-injection plan applied to every session's runtime (testing
@@ -148,8 +144,6 @@ impl Engine {
     pub fn new(model: Arc<dyn LanguageModel>, registry: Registry) -> Engine {
         Engine {
             model,
-            config: AgentConfig::default(),
-            max_repairs: 2,
             workers: workflow::exec::default_workers(),
             retry: RetryPolicy::default(),
             fault_plan: None,
@@ -343,11 +337,6 @@ impl Engine {
         &self.worlds
     }
 
-    /// Scenario keys currently registered.
-    pub fn scenario_keys(&self) -> Vec<String> {
-        self.scenarios.lock().keys().cloned().collect()
-    }
-
     /// Opens a session against a registered scenario. The session pins
     /// the *current* epoch and the scenario's shared artifact store.
     pub fn session(&self, scenario_key: &str) -> Result<Session, PipelineError> {
@@ -363,8 +352,6 @@ impl Engine {
         }
         Ok(Session {
             model: Arc::clone(&self.model),
-            config: self.config.clone(),
-            max_repairs: self.max_repairs,
             epoch,
             scenario: slot.scenario,
             artifacts: slot.artifacts,
@@ -389,8 +376,7 @@ impl Engine {
         let _pass = self.curation.lock();
         let current = self.epoch();
         let mut next = (*current.registry).clone();
-        let outcome =
-            run_curation(&*self.model, &self.config, &mut next, corpus, min_uses)?;
+        let outcome = run_curation(&*self.model, &mut next, corpus, min_uses)?;
         if !outcome.added.is_empty() {
             let sequence = current.sequence + 1;
             *self.epoch.write() = Arc::new(RegistryEpoch {
@@ -429,8 +415,6 @@ impl SessionRun {
 /// store underneath is shared either way.
 pub struct Session {
     model: Arc<dyn LanguageModel>,
-    config: AgentConfig,
-    max_repairs: usize,
     epoch: Arc<RegistryEpoch>,
     scenario: Arc<Scenario>,
     artifacts: Arc<ArtifactStore>,
@@ -493,16 +477,8 @@ impl Session {
         context: &QueryContext,
         variant: u64,
     ) -> Result<GeneratedSolution, PipelineError> {
-        run_pipeline(
-            &*self.model,
-            &self.config,
-            self.max_repairs,
-            &self.epoch.registry,
-            query,
-            context,
-            variant,
-            &ExpertHooks::default(),
-        )
+        let hooks = ExpertHooks::default();
+        run_pipeline(&*self.model, &self.epoch.registry, query, context, variant, &hooks)
     }
 
     /// Expert mode: hooks run between pipeline stages.
@@ -512,64 +488,52 @@ impl Session {
         context: &QueryContext,
         hooks: &ExpertHooks,
     ) -> Result<GeneratedSolution, PipelineError> {
-        run_pipeline(
-            &*self.model,
-            &self.config,
-            self.max_repairs,
-            &self.epoch.registry,
-            query,
-            context,
-            0,
-            hooks,
-        )
+        run_pipeline(&*self.model, &self.epoch.registry, query, context, 0, hooks)
     }
 
     /// Executes a workflow against the session's scenario, shared
-    /// artifacts and pinned registry — through the session's resilience
-    /// stack: the standard runtime, optionally under the engine's fault
-    /// plan, optionally under circuit breakers/fallbacks (outermost, so
-    /// breakers see injected faults exactly as they would real ones).
+    /// artifacts and pinned registry — through the session's runtime
+    /// stack: the standard runtime, under the engine's fault plan if one
+    /// is set, under circuit breakers/fallbacks outermost if resilience
+    /// is set (so breakers see injected faults exactly as real ones).
     pub fn execute(
         &self,
         workflow: &Workflow,
         query_args: &BTreeMap<String, Value>,
     ) -> ExecutionReport {
-        let registry = &self.epoch.registry;
-        let options = ExecOptions {
-            workers: self.workers,
-            retry: self.retry,
-            recorder: self.recorder.clone(),
+        let run = |runtime: &dyn ToolRuntime| {
+            let options = ExecOptions {
+                workers: self.workers,
+                retry: self.retry,
+                recorder: self.recorder.clone(),
+            };
+            execute_with(workflow, &self.epoch.registry, runtime, query_args, &options)
         };
-        match (&self.fault_plan, &self.resilience) {
-            (None, None) => {
-                execute_with(workflow, registry, &self.runtime(), query_args, &options)
-            }
-            (Some(plan), None) => {
-                let mut rt = ChaosRuntime::new(self.runtime(), plan.clone());
-                if let Some(recorder) = &self.recorder {
-                    rt = rt.with_recorder(Arc::clone(recorder));
-                }
-                execute_with(workflow, registry, &rt, query_args, &options)
-            }
-            (None, Some(config)) => {
-                let mut rt = ResilientRuntime::new(self.runtime(), config.clone());
-                if let Some(recorder) = &self.recorder {
-                    rt = rt.with_recorder(Arc::clone(recorder));
-                }
-                execute_with(workflow, registry, &rt, query_args, &options)
-            }
-            (Some(plan), Some(config)) => {
-                let mut chaos_rt = ChaosRuntime::new(self.runtime(), plan.clone());
-                if let Some(recorder) = &self.recorder {
-                    chaos_rt = chaos_rt.with_recorder(Arc::clone(recorder));
-                }
-                let mut rt = ResilientRuntime::new(chaos_rt, config.clone());
-                if let Some(recorder) = &self.recorder {
-                    rt = rt.with_recorder(Arc::clone(recorder));
-                }
-                execute_with(workflow, registry, &rt, query_args, &options)
-            }
+        let Some(plan) = &self.fault_plan else {
+            return self.with_resilience(self.runtime(), run);
+        };
+        let mut chaos = ChaosRuntime::new(self.runtime(), plan.clone());
+        if let Some(recorder) = &self.recorder {
+            chaos = chaos.with_recorder(Arc::clone(recorder));
         }
+        self.with_resilience(chaos, run)
+    }
+
+    /// Runs `run` over `runtime`, wrapped in the engine's circuit breakers
+    /// and fallbacks when resilience is set.
+    fn with_resilience(
+        &self,
+        runtime: impl ToolRuntime,
+        run: impl FnOnce(&dyn ToolRuntime) -> ExecutionReport,
+    ) -> ExecutionReport {
+        let Some(config) = &self.resilience else {
+            return run(&runtime);
+        };
+        let mut resilient = ResilientRuntime::new(runtime, config.clone());
+        if let Some(recorder) = &self.recorder {
+            resilient = resilient.with_recorder(Arc::clone(recorder));
+        }
+        run(&resilient)
     }
 
     /// Generates and executes in one call — the serving hot path. With a

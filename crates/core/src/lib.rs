@@ -9,17 +9,16 @@
 //!   rendered source code);
 //! * [`agents::RegistryCurator`] — systematic registry evolution.
 //!
-//! The [`ArachNet`] orchestrator chains them: by default in **standard**
-//! mode (fully automated); in **expert** mode domain specialists review
-//! and adjust the intermediate artifacts between stages ([`ExpertHooks`]).
-//! [`ensemble`] implements the paper's proposed ensemble-confidence
-//! mechanism (§5, Trust & Verification) and [`conflict`] the
-//! conflicting-tool-outputs mitigation (§5).
-//!
-//! For serving many concurrent queries, use the [`engine`] module:
-//! [`Engine`] publishes the registry as immutable epochs and hands out
-//! [`Session`]s that share per-scenario artifact stores — [`ArachNet`]
-//! remains as the thin single-tenant facade over the same pipeline.
+//! [`Engine`] and [`Session`] are the one serving surface over them. The
+//! engine publishes the registry as immutable epochs (RegistryCurator's
+//! output lands as a new epoch via [`Engine::curate`]) and hands out
+//! sessions that share per-scenario artifact stores. A session chains the
+//! three planning agents in **standard** mode ([`Session::generate`],
+//! fully automated) or in **expert** mode ([`Session::generate_expert`]),
+//! where domain specialists review and adjust the intermediate artifacts
+//! between stages ([`ExpertHooks`]). [`ensemble`] implements the paper's
+//! proposed ensemble-confidence mechanism (§5, Trust & Verification) and
+//! [`conflict`] the conflicting-tool-outputs mitigation (§5).
 
 pub mod agents;
 pub mod conflict;
@@ -27,13 +26,13 @@ pub mod engine;
 pub mod ensemble;
 pub mod orchestrator;
 
-pub use agents::{AgentConfig, AgentError};
+pub use agents::AgentError;
 pub use engine::{
     Engine, FamilyScenario, RegistrationStats, RegistryEpoch, ScenarioRegistration, Session,
     SessionRun,
 };
-pub use ensemble::{EnsembleReport, FunctionAgreement, SolutionSource};
-pub use orchestrator::{ArachNet, CurationOutcome, ExpertHooks, GeneratedSolution, PipelineError};
+pub use ensemble::{EnsembleReport, FunctionAgreement};
+pub use orchestrator::{CurationOutcome, ExpertHooks, GeneratedSolution, PipelineError};
 
 // Re-export the resilience surface (fault plans, breakers, run health)
 // so chaos drills against the engine need one import.

@@ -8,9 +8,7 @@ use llm::LanguageModel;
 use registry::{CapabilityEntry, DataFormat, FunctionId, Implementation, Registry};
 use workflow::{check, to_source, Binding, Step, TypedValue, Workflow};
 
-use crate::agents::{
-    AgentConfig, AgentError, QueryMind, RegistryCurator, SolutionWeaver, WorkflowScout,
-};
+use crate::agents::{AgentError, QueryMind, RegistryCurator, SolutionWeaver, WorkflowScout};
 
 /// An optional expert hook rewriting one intermediate artifact.
 pub type AdjustHook<T> = Option<Box<dyn Fn(T) -> T + Send + Sync>>;
@@ -121,96 +119,16 @@ pub struct CurationOutcome {
     pub rejected: Vec<(String, String)>,
 }
 
-/// The ArachNet system: a model, a registry, and the coordinated pipeline.
-pub struct ArachNet<'m> {
-    model: &'m dyn LanguageModel,
-    registry: Registry,
-    config: AgentConfig,
-    /// How many repair rounds SolutionWeaver gets when validation fails.
-    max_repairs: usize,
-}
-
-impl<'m> ArachNet<'m> {
-    /// Builds the system over a model and an initial registry.
-    pub fn new(model: &'m dyn LanguageModel, registry: Registry) -> Self {
-        ArachNet { model, registry, config: AgentConfig::default(), max_repairs: 2 }
-    }
-
-    /// Current registry (evolves through curation).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Standard mode: fully automated.
-    pub fn generate(
-        &self,
-        query: &str,
-        context: &QueryContext,
-    ) -> Result<GeneratedSolution, PipelineError> {
-        self.generate_inner(query, context, 0, &ExpertHooks::default())
-    }
-
-    /// Expert mode: hooks run between stages.
-    pub fn generate_expert(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        hooks: &ExpertHooks,
-    ) -> Result<GeneratedSolution, PipelineError> {
-        self.generate_inner(query, context, 0, hooks)
-    }
-
-    /// Variant-seeded generation (used by the ensemble machinery).
-    pub fn generate_variant(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        variant: u64,
-    ) -> Result<GeneratedSolution, PipelineError> {
-        self.generate_inner(query, context, variant, &ExpertHooks::default())
-    }
-
-    fn generate_inner(
-        &self,
-        query: &str,
-        context: &QueryContext,
-        variant: u64,
-        hooks: &ExpertHooks,
-    ) -> Result<GeneratedSolution, PipelineError> {
-        run_pipeline(
-            self.model,
-            &self.config,
-            self.max_repairs,
-            &self.registry,
-            query,
-            context,
-            variant,
-            hooks,
-        )
-    }
-
-    /// Stage 4: RegistryCurator. Validated composites are registered;
-    /// the registry grows organically.
-    pub fn curate(
-        &mut self,
-        corpus: &[WorkflowSummary],
-        min_uses: usize,
-    ) -> Result<CurationOutcome, PipelineError> {
-        run_curation(self.model, &self.config, &mut self.registry, corpus, min_uses)
-    }
-}
+/// How many repair rounds SolutionWeaver gets when validation fails.
+const MAX_REPAIRS: usize = 2;
 
 /// The three-agent generation pipeline over an explicit registry snapshot.
 ///
-/// This is the shared core behind [`ArachNet::generate`] and the serving
-/// engine's sessions: the registry is read-only for the whole run, so any
-/// number of pipelines can execute concurrently against one shared
-/// (epoch) snapshot.
-#[allow(clippy::too_many_arguments)]
+/// This is the core behind every [`crate::Session`] generation: the
+/// registry is read-only for the whole run, so any number of pipelines
+/// can execute concurrently against one shared (epoch) snapshot.
 pub(crate) fn run_pipeline(
     model: &dyn LanguageModel,
-    config: &AgentConfig,
-    max_repairs: usize,
     registry: &Registry,
     query: &str,
     context: &QueryContext,
@@ -218,21 +136,21 @@ pub(crate) fn run_pipeline(
     hooks: &ExpertHooks,
 ) -> Result<GeneratedSolution, PipelineError> {
     // Stage 1: QueryMind.
-    let querymind = QueryMind::new(model, config.clone());
+    let querymind = QueryMind::new(model);
     let mut decomposition = querymind.run(query, context, registry)?;
     if let Some(hook) = &hooks.adjust_decomposition {
         decomposition = hook(decomposition);
     }
 
     // Stage 2: WorkflowScout.
-    let scout = WorkflowScout::new(model, config.clone());
+    let scout = WorkflowScout::new(model);
     let mut architecture = scout.run(&decomposition, registry, variant)?;
     if let Some(hook) = &hooks.adjust_architecture {
         architecture = hook(architecture);
     }
 
     // Stage 3: SolutionWeaver, with a validation-repair loop.
-    let weaver = SolutionWeaver::new(model, config.clone());
+    let weaver = SolutionWeaver::new(model);
     let mut feedback: Vec<String> = Vec::new();
     let mut repair_attempts = 0usize;
     let (workflow, implementation) = loop {
@@ -244,7 +162,7 @@ pub(crate) fn run_pipeline(
             break (wf, implementation);
         }
         repair_attempts += 1;
-        if repair_attempts > max_repairs {
+        if repair_attempts > MAX_REPAIRS {
             return Err(PipelineError::Validation {
                 errors: errors.iter().map(|e| e.to_string()).collect(),
                 repair_attempts,
@@ -277,16 +195,15 @@ pub(crate) fn run_pipeline(
 }
 
 /// Runs RegistryCurator against `registry` and registers the validated
-/// composites — the shared core behind [`ArachNet::curate`] and the
-/// engine's epoch-publishing curation.
+/// composites — the core behind [`crate::Engine::curate`]'s
+/// epoch-publishing curation.
 pub(crate) fn run_curation(
     model: &dyn LanguageModel,
-    config: &AgentConfig,
     registry: &mut Registry,
     corpus: &[WorkflowSummary],
     min_uses: usize,
 ) -> Result<CurationOutcome, PipelineError> {
-    let curator = RegistryCurator::new(model, config.clone());
+    let curator = RegistryCurator::new(model);
     let proposal = curator.run(corpus, registry, min_uses)?;
 
     let mut outcome = CurationOutcome {
@@ -389,7 +306,10 @@ fn to_workflow(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::engine::{Engine, Session};
     use llm::DeterministicExpertModel;
     use registry::Param;
 
@@ -429,15 +349,24 @@ mod tests {
         QueryContext { cable_names: vec![], now: 864_000, horizon_days: 10 }
     }
 
+    fn engine() -> Engine {
+        let engine = Engine::new(Arc::new(DeterministicExpertModel::new()), mini_registry());
+        engine.register_scenario("cs2", toolkit::scenarios::cs2_scenario());
+        engine
+    }
+
+    fn session(engine: &Engine) -> Session {
+        engine.session("cs2").unwrap()
+    }
+
     const CS2_QUERY: &str = "Identify the impact of severe earthquakes and hurricanes \
                              globally assuming a 10% infra failure probability";
 
     #[test]
     fn pipeline_generates_valid_workflow() {
-        let model = DeterministicExpertModel::new();
-        let system = ArachNet::new(&model, mini_registry());
-        let solution = system.generate(CS2_QUERY, &context()).unwrap();
-        assert!(check(&solution.workflow, system.registry()).is_empty());
+        let session = session(&engine());
+        let solution = session.generate(CS2_QUERY, &context()).unwrap();
+        assert!(check(&solution.workflow, session.registry()).is_empty());
         assert!(solution.loc > 50, "loc {}", solution.loc);
         assert_eq!(solution.repair_attempts, 0);
         // QA step woven in.
@@ -448,8 +377,7 @@ mod tests {
 
     #[test]
     fn expert_hooks_adjust_and_review() {
-        let model = DeterministicExpertModel::new();
-        let system = ArachNet::new(&model, mini_registry());
+        let session = session(&engine());
         let hooks = ExpertHooks {
             adjust_decomposition: Some(Box::new(|mut d: Decomposition| {
                 d.constraints.push("expert: restrict to coastal assets".into());
@@ -460,7 +388,7 @@ mod tests {
                 vec![format!("reviewed {} steps", wf.steps.len())]
             })),
         };
-        let solution = system.generate_expert(CS2_QUERY, &context(), &hooks).unwrap();
+        let solution = session.generate_expert(CS2_QUERY, &context(), &hooks).unwrap();
         assert!(solution
             .decomposition
             .constraints
@@ -471,18 +399,17 @@ mod tests {
 
     #[test]
     fn curation_grows_registry_and_rejects_duplicates() {
-        let model = DeterministicExpertModel::new();
-        let mut system = ArachNet::new(&model, mini_registry());
-        let solution = system.generate(CS2_QUERY, &context()).unwrap();
+        let engine = engine();
+        let solution = session(&engine).generate(CS2_QUERY, &context()).unwrap();
         let corpus = vec![solution.summary(true), solution.summary(true)];
 
-        let before = system.registry().len();
-        let outcome = system.curate(&corpus, 2).unwrap();
+        let before = engine.registry().len();
+        let outcome = engine.curate(&corpus, 2).unwrap();
         assert_eq!(outcome.added.len(), 1, "rejected: {:?}", outcome.rejected);
-        assert_eq!(system.registry().len(), before + 1);
+        assert_eq!(engine.registry().len(), before + 1);
 
         // Second pass proposes nothing new.
-        let outcome2 = system.curate(&corpus, 2).unwrap();
+        let outcome2 = engine.curate(&corpus, 2).unwrap();
         assert!(outcome2.added.is_empty());
         assert!(outcome2
             .rejected
@@ -492,13 +419,13 @@ mod tests {
 
     #[test]
     fn composite_signature_is_derived_correctly() {
-        let model = DeterministicExpertModel::new();
-        let mut system = ArachNet::new(&model, mini_registry());
-        let solution = system.generate(CS2_QUERY, &context()).unwrap();
+        let engine = engine();
+        let solution = session(&engine).generate(CS2_QUERY, &context()).unwrap();
         let corpus = vec![solution.summary(true), solution.summary(true)];
-        let outcome = system.curate(&corpus, 2).unwrap();
+        let outcome = engine.curate(&corpus, 2).unwrap();
         let id = &outcome.added[0];
-        let entry = system.registry().get(id).unwrap();
+        let registry = engine.registry();
+        let entry = registry.get(id).unwrap();
         // The composite takes the chain's external inputs and returns the
         // final output.
         assert_eq!(entry.output, DataFormat::CountryImpactTable);
@@ -510,15 +437,14 @@ mod tests {
 
     #[test]
     fn generated_workflow_uses_composites_after_curation() {
-        let model = DeterministicExpertModel::new();
-        let mut system = ArachNet::new(&model, mini_registry());
-        let s1 = system.generate(CS2_QUERY, &context()).unwrap();
+        let engine = engine();
+        let s1 = session(&engine).generate(CS2_QUERY, &context()).unwrap();
         let corpus = vec![s1.summary(true), s1.summary(true)];
-        system.curate(&corpus, 2).unwrap();
+        engine.curate(&corpus, 2).unwrap();
 
-        // Regenerate: the planner can now reach the target through the
-        // cheaper composite, shrinking the workflow.
-        let s2 = system.generate(CS2_QUERY, &context()).unwrap();
+        // Regenerate in a fresh session: the planner can now reach the
+        // target through the cheaper composite, shrinking the workflow.
+        let s2 = session(&engine).generate(CS2_QUERY, &context()).unwrap();
         assert!(
             s2.workflow.steps.len() <= s1.workflow.steps.len(),
             "curated registry should not grow the plan ({} vs {})",

@@ -1,11 +1,10 @@
 //! # llm — the language-model substrate
 //!
 //! ArachNet's agents are prompt/completion loops over an LLM (the paper
-//! uses Claude Sonnet 4). Reproducing that offline requires the
-//! substitution documented in DESIGN.md §3: a [`LanguageModel`] trait with
-//! a deterministic implementation, [`DeterministicExpertModel`], that
-//! encodes the same expert reasoning the authors iteratively embedded in
-//! their prompts.
+//! uses Claude Sonnet 4). Reproducing that offline requires a
+//! substitution: a [`LanguageModel`] trait with a deterministic
+//! implementation, [`DeterministicExpertModel`], that encodes the same
+//! expert reasoning the authors iteratively embedded in their prompts.
 //!
 //! The mechanics of the real system are preserved end to end:
 //!
@@ -144,7 +143,8 @@ impl<M: LanguageModel> LanguageModel for FaultyModel<M> {
         if *remaining > 0 {
             *remaining -= 1;
             let good = self.inner.complete(prompt)?;
-            let cut = good.text.len() / 2;
+            // Truncate at the char boundary at or below the midpoint.
+            let cut = good.text.floor_char_boundary(good.text.len() / 2);
             return Ok(Completion { text: good.text[..cut].to_string() });
         }
         self.inner.complete(prompt)
@@ -217,5 +217,14 @@ mod tests {
         assert!(serde_json::from_str::<serde_json::Value>(&first.text).is_err());
         let second = m.complete(&p).unwrap();
         assert!(serde_json::from_str::<serde_json::Value>(&second.text).is_ok());
+    }
+
+    #[test]
+    fn faulty_model_truncates_multibyte_text_at_a_char_boundary() {
+        // The byte midpoint of "ééé" falls inside the second 'é'.
+        let m = FaultyModel::new(ScriptedModel::new(vec![("t", "ééé")]), 1);
+        let p = Prompt::new("s", "t", serde_json::json!({}));
+        assert_eq!(m.complete(&p).unwrap().text, "é");
+        assert_eq!(m.complete(&p).unwrap().text, "ééé");
     }
 }

@@ -80,11 +80,6 @@ impl DependencyTable {
     pub fn cables(&self) -> Vec<CableId> {
         self.entries.keys().copied().collect()
     }
-
-    /// Countries depending on `cable`.
-    pub fn countries_on(&self, cable: CableId) -> Vec<Country> {
-        self.for_cable(cable).countries
-    }
 }
 
 fn push_link(world: &World, e: &mut CableDependencies, link: &world::IpLink) {

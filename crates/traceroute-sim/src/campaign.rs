@@ -86,18 +86,6 @@ impl Campaign {
             .collect()
     }
 
-    /// `(time, end-to-end RTT)` pairs of all completed measurements,
-    /// aggregated across all probe/destination pairs, time-ordered.
-    pub fn rtt_points(&self) -> Vec<(SimTime, f64)> {
-        let mut pts: Vec<(SimTime, f64)> = self
-            .measurements
-            .iter()
-            .filter_map(|m| m.end_to_end_rtt().map(|r| (m.time, r)))
-            .collect();
-        pts.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.partial_cmp(&b.1).unwrap()));
-        pts
-    }
-
     /// Mean RTT of completed measurements within a window; `None` if there
     /// are none.
     pub fn mean_rtt_in(&self, w: TimeWindow) -> Option<f64> {

@@ -127,21 +127,22 @@ fn cs4_forensics_identify_the_culprit() {
 
 #[test]
 fn cs4_negative_control_declines_to_blame() {
-    use arachnet::{ArachNet, DeterministicExpertModel};
-    use toolkit::{catalog, scenarios, StandardRuntime};
+    use arachnet::{DeterministicExpertModel, Engine};
+    use toolkit::{catalog, scenarios};
 
-    let scenario = scenarios::cs4_negative_scenario();
-    let registry = catalog::standard_registry();
+    let engine = Engine::new(
+        std::sync::Arc::new(DeterministicExpertModel::new()),
+        catalog::standard_registry(),
+    );
+    engine.register_scenario("cs4-negative", scenarios::cs4_negative_scenario());
+    let session = engine.session("cs4-negative").expect("scenario registered");
+    let scenario = session.scenario();
     let context = catalog::query_context(&scenario.world, scenario.now, 14);
-    let model = DeterministicExpertModel::new();
-    let system = ArachNet::new(&model, registry.clone());
-    let solution = system
-        .generate(CaseStudy::Cs4ForensicRca.query(), &context)
+    let run = session
+        .run(CaseStudy::Cs4ForensicRca.query(), &context)
         .expect("generation succeeds");
-    let runtime = StandardRuntime::new(scenario);
-    let report =
-        workflow::execute(&solution.workflow, &registry, &runtime, &solution.query_args());
-    let verdict: VerdictData = report
+    let verdict: VerdictData = run
+        .report
         .outputs
         .values()
         .next()

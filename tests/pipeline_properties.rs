@@ -1,13 +1,23 @@
 //! Property-based tests on the pipeline's cross-crate invariants.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use arachnet::{ArachNet, DeterministicExpertModel};
+use arachnet::{DeterministicExpertModel, Engine, Session};
 use llm::protocol::QueryContext;
-use toolkit::catalog;
+use toolkit::{catalog, scenarios};
 use workflow::check;
+
+/// A serving session over the full catalog. Planning reads only the
+/// registry and the query context, so any registered scenario will do.
+fn session() -> Session {
+    let engine =
+        Engine::new(Arc::new(DeterministicExpertModel::new()), catalog::standard_registry());
+    engine.register_scenario("cs1", scenarios::cs1_scenario());
+    engine.session("cs1").expect("scenario registered")
+}
 
 /// Queries assembled from the domain vocabulary: whatever the user asks,
 /// a generated workflow must always typecheck against the registry.
@@ -47,15 +57,14 @@ proptest! {
             now: 10 * 86_400,
             horizon_days: 10,
         };
-        let model = DeterministicExpertModel::new();
-        let system = ArachNet::new(&model, registry.clone());
+        let session = session();
         // Some queries may be unplannable (that is a legitimate outcome);
         // the invariant applies to every solution that IS produced.
-        if let Ok(solution) = system.generate(&query, &context) {
+        if let Ok(solution) = session.generate(&query, &context) {
             let errors = check(&solution.workflow, &registry);
             prop_assert!(errors.is_empty(), "query {query:?}: {errors:?}");
             prop_assert!(solution.loc > 40);
-            let again = system.generate(&query, &context).expect("deterministic");
+            let again = session.generate(&query, &context).expect("deterministic");
             prop_assert_eq!(solution.source_code, again.source_code);
         }
     }
@@ -101,15 +110,12 @@ fn full_catalog_roundtrips_through_json() {
 /// workflow's declared argument set.
 #[test]
 fn provided_args_cover_workflow_requirements() {
-    let registry = catalog::standard_registry();
     let context = QueryContext {
         cable_names: vec!["SeaMeWe-5".into()],
         now: 10 * 86_400,
         horizon_days: 10,
     };
-    let model = DeterministicExpertModel::new();
-    let system = ArachNet::new(&model, registry);
-    let solution = system
+    let solution = session()
         .generate(
             "Identify the impact at a country level due to SeaMeWe-5 cable failure",
             &context,
