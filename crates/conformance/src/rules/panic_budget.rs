@@ -26,11 +26,10 @@ pub const BUDGETS: [(&str, usize); 6] = [
     // genuine invariants only — injected faults must surface as
     // ToolError, never as panics.
     ("chaos", 2),
-    // engine/session/orchestrator/ensemble serving core: the request
-    // serializer, the ensemble scope-join slot, the curate-validated
-    // registry lookup (PR 6 burned the partial_cmp unwraps down to
-    // total_cmp).
-    ("core", 3),
+    // engine/session/orchestrator/ensemble serving core: the ensemble
+    // scope-join slot and the curate-validated registry lookup (PR 6
+    // burned the partial_cmp unwraps down to total_cmp).
+    ("core", 2),
     // DAG executor: mutex-poisoning expects + the worker panic relay.
     ("workflow", 7),
     // tool runtime + scenario curation (curated-world expects).

@@ -57,16 +57,19 @@ fn run_task<Req: serde::Serialize, Resp: serde::de::DeserializeOwned>(
     task: &str,
     request: &Req,
 ) -> Result<Resp, AgentError> {
-    let mut payload = serde_json::to_value(request).expect("requests serialize");
+    let payload = serde_json::to_value(request)
+        .map_err(|e| LlmError::BadPayload { task: task.to_string(), message: e.to_string() })?;
+    // One prompt per task: a re-prompt only adds `repair_feedback`.
+    let mut prompt = Prompt::new(system, task, payload);
     let mut last_error = String::new();
     for attempt in 0..=MAX_RETRIES {
-        let completion = model.complete(&Prompt::new(system, task, payload.clone()))?;
+        let completion = model.complete(&prompt)?;
         match serde_json::from_str::<Resp>(&completion.text) {
             Ok(parsed) => return Ok(parsed),
             Err(e) => {
                 last_error = e.to_string();
                 // Re-prompt with feedback, exactly like a real agent loop.
-                if let serde_json::Value::Object(map) = &mut payload {
+                if let serde_json::Value::Object(map) = &mut prompt.payload {
                     map.insert(
                         "repair_feedback".to_string(),
                         serde_json::json!(format!(
@@ -213,7 +216,7 @@ impl<'m> RegistryCurator<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llm::{DeterministicExpertModel, FaultyModel, ScriptedModel};
+    use llm::{DeterministicExpertModel, FaultyModel, RecordingModel, ScriptedModel};
     use registry::{CapabilityEntry, DataFormat, Param};
 
     fn mini_registry() -> Registry {
@@ -270,6 +273,24 @@ mod tests {
         let qm = QueryMind::new(&model);
         let d = qm.run("impact of earthquakes at 10%", &context(), &mini_registry());
         assert!(d.is_ok(), "{:?}", d.err().map(|e| e.to_string()));
+    }
+
+    #[test]
+    fn reprompt_adds_only_repair_feedback() {
+        let model = RecordingModel::new(FaultyModel::new(DeterministicExpertModel::new(), 1));
+        QueryMind::new(&model)
+            .run("impact of earthquakes at 10%", &context(), &mini_registry())
+            .unwrap();
+        let transcript = model.transcript();
+        assert_eq!(transcript.len(), 2);
+        let first = transcript[0].0.payload.as_object().unwrap();
+        let second = transcript[1].0.payload.as_object().unwrap();
+        assert!(!first.contains_key("repair_feedback"));
+        let feedback = second["repair_feedback"].as_str().unwrap();
+        assert!(feedback.contains("attempt 1 returned invalid JSON"), "{feedback}");
+        let mut rest = second.clone();
+        rest.remove("repair_feedback");
+        assert_eq!(&rest, first);
     }
 
     #[test]

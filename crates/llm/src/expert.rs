@@ -76,7 +76,7 @@ fn parse<T: serde::de::DeserializeOwned>(
     task: &str,
     payload: &serde_json::Value,
 ) -> Result<T, LlmError> {
-    serde_json::from_value(payload.clone()).map_err(|e| LlmError::BadPayload {
+    T::deserialize_json(payload).map_err(|e| LlmError::BadPayload {
         task: task.to_string(),
         message: e.to_string(),
     })

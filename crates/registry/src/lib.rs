@@ -27,6 +27,7 @@ pub use format::DataFormat;
 pub use search::{EntryTokens, SearchHit};
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -59,16 +60,17 @@ impl std::error::Error for RegistryError {}
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     entries: BTreeMap<FunctionId, CapabilityEntry>,
-    /// Per-entry token sets, built once at [`Registry::register`] time so
-    /// search never re-tokenizes entry text (see [`search`]). Keyed in
-    /// lockstep with `entries`; rebuilt (not persisted) on deserialize.
-    tokens: BTreeMap<FunctionId, EntryTokens>,
+    /// Per-entry token sets, built lazily by the first [`Registry::search`]
+    /// so later searches never re-tokenize entry text (see [`search`]).
+    /// Keyed in lockstep with `entries`; [`Registry::register`] resets it,
+    /// and it is never persisted.
+    tokens: OnceLock<BTreeMap<FunctionId, EntryTokens>>,
 }
 
 // The token cache is derived state, so (de)serialization is hand-written:
-// only `entries` is persisted (the same JSON shape the derive produced)
-// and the cache is rebuilt when a registry is loaded — it can never go
-// stale against its entries.
+// only `entries` is persisted (the same JSON shape the derive produced).
+// A loaded registry starts with an empty cache, so registries that are
+// never searched (every agent prompt carries one) never tokenize.
 impl Serialize for Registry {
     fn serialize_json(&self) -> Value {
         let mut obj = BTreeMap::new();
@@ -85,10 +87,8 @@ impl Deserialize for Registry {
         };
         let entries_value =
             obj.get("entries").ok_or_else(|| serde::Error::msg("missing field entries"))?;
-        let entries: BTreeMap<FunctionId, CapabilityEntry> =
-            Deserialize::deserialize_json(entries_value)?;
-        let tokens = entries.iter().map(|(id, e)| (id.clone(), EntryTokens::of(e))).collect();
-        Ok(Registry { entries, tokens })
+        let entries = Deserialize::deserialize_json(entries_value)?;
+        Ok(Registry { entries, tokens: OnceLock::new() })
     }
 }
 
@@ -114,7 +114,7 @@ impl Registry {
                 }
             }
         }
-        self.tokens.insert(entry.id.clone(), EntryTokens::of(&entry));
+        self.tokens.take();
         self.entries.insert(entry.id.clone(), entry);
         Ok(())
     }
@@ -144,12 +144,16 @@ impl Registry {
         self.entries.values()
     }
 
-    /// Entries zipped with their register-time token caches, in canonical
-    /// (id) order. The two maps are keyed in lockstep.
+    /// Entries zipped with their cached token sets, in canonical (id)
+    /// order; tokenizes every entry on the first call after a change. The
+    /// two maps are keyed in lockstep.
     pub(crate) fn iter_with_tokens(
         &self,
     ) -> impl Iterator<Item = (&CapabilityEntry, &EntryTokens)> + '_ {
-        self.entries.values().zip(self.tokens.values())
+        let tokens = self.tokens.get_or_init(|| {
+            self.entries.iter().map(|(id, e)| (id.clone(), EntryTokens::of(e))).collect()
+        });
+        self.entries.values().zip(tokens.values())
     }
 
     /// Entries whose output format is compatible with `format`.

@@ -3,9 +3,9 @@
 //! A deliberately simple ranked retrieval: tokenize the query, score each
 //! entry by weighted keyword overlap (id > tags > capability sentence),
 //! return the top hits. One linear pass per query — the linear-scaling
-//! property benchmarked in E5. Entry text is tokenized **once, at
-//! `register()` time** ([`EntryTokens`]); each query only tokenizes
-//! itself and probes the cached sorted token sets.
+//! property benchmarked in E5. Entry text is tokenized **once, by the
+//! first search** after the registry last changed ([`EntryTokens`]); each
+//! query only tokenizes itself and probes the cached sorted token sets.
 
 use crate::entry::CapabilityEntry;
 use crate::Registry;
@@ -26,8 +26,8 @@ pub fn tokenize(s: &str) -> Vec<String> {
 }
 
 /// Cached lowercase token sets of one entry (sorted and deduplicated, so
-/// membership is a binary search). Built once when the entry is
-/// registered; rankings are identical to re-tokenizing on every score.
+/// membership is a binary search). Built once, by the registry's first
+/// search; rankings are identical to re-tokenizing on every score.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EntryTokens {
     id: Vec<String>,
@@ -168,7 +168,43 @@ mod tests {
         assert_eq!(tokenize("a b c"), Vec::<String>::new());
     }
 
-    /// The register-time token cache must rank exactly like re-tokenizing
+    fn ranking(hits: &[SearchHit<'_>]) -> Vec<(String, f64)> {
+        hits.iter().map(|h| (h.entry.id.0.clone(), h.score)).collect()
+    }
+
+    /// A loaded registry starts with an empty token cache; its first
+    /// search must rank exactly like the registry it was saved from.
+    #[test]
+    fn reloaded_registry_searches_identically() {
+        let r = registry();
+        let back = Registry::from_json(&r.to_json().unwrap()).unwrap();
+        for q in ["map submarine cables", "process event", "event updates failure bgp", "bgp"] {
+            assert_eq!(ranking(&back.search(q, 10)), ranking(&r.search(q, 10)), "query {q:?}");
+        }
+    }
+
+    /// `register` after a search must invalidate the token cache, or the
+    /// new entry would be scored against stale (misaligned) token sets.
+    #[test]
+    fn register_after_search_finds_the_new_entry() {
+        let mut r = registry();
+        assert!(r.search("quasar probe", 10).is_empty());
+        // Sorts first, so a stale cache would pair it with another
+        // entry's tokens rather than merely dropping it.
+        r.register(CapabilityEntry::new(
+            "aaa.quasar_probe",
+            "aaa",
+            "probes quasars",
+            vec![],
+            DataFormat::Text,
+        ))
+        .unwrap();
+        let hits = r.search("quasar probe", 10);
+        assert_eq!(ranking(&hits), vec![("aaa.quasar_probe".to_string(), 3.0)]);
+        assert_eq!(r.search("map submarine cables", 1)[0].entry.id.0, "nautilus.map_links");
+    }
+
+    /// The lazy token cache must rank exactly like re-tokenizing
     /// every entry per query (the seed behaviour).
     #[test]
     fn cached_scores_match_retokenizing() {
