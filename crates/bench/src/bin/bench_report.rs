@@ -1,4 +1,4 @@
-//! Bench trajectory: plain wall-clock medians for the substrate and
+//! Bench trajectory: wall-clock medians for the substrate, planning and
 //! serving hot paths, written as `BENCH_pr10.json` at the repo root (and
 //! uploaded as a CI artifact alongside the committed `BENCH_pr2.json`
 //! through `BENCH_pr9.json`).
@@ -8,81 +8,59 @@
 //! cargo run --release -p benchkit --bin bench_report -- out.json
 //! ```
 //!
-//! Unlike the criterion benches (statistical, interactive), this is the
-//! cheap comparable record each PR leaves behind: one JSON file with a
-//! median per hot path. Benchmark ids are stable across PRs — `BENCH_pr7`
-//! repeats every earlier row:
+//! Ids are stable across PRs; new rows get new ids. Rows with a
+//! `baseline` time both arms interleaved through [`benchkit::paired`].
 //!
-//! * `workflow/exec_dag` — the parallel DAG executor on a fan-out
-//!   workload, max workers vs 1 worker (measured in-tree, like the
-//!   routing row measures the retained seed engine);
-//! * `engine/concurrent_sessions` — N identical queries served end-to-end
-//!   (generate + execute) through engine sessions over one shared
-//!   scenario, max session threads vs 1 (rebaselined in PR 6: PR 5's
-//!   world-keyed artifact stores erased the old cold-store-per-query
-//!   baseline — both arms now share the mapping run, so that contrast
-//!   reads ~1.0 everywhere — and the contrast that remains in-tree is
-//!   thread scaling);
-//! * `world/generate_cold` / `world/generate_cached` — one full world
-//!   generation vs a content-addressed cache hit on the same config;
-//! * `forge/register_family_fleet` — registering every scenario family's
-//!   fleet through `Engine::register_family` (worlds deduplicated by the
-//!   process-wide cache) vs realizing the same fleet with one cold
-//!   generation per scenario;
-//! * `bgp/derive_updates_hijack` — the full update-stream derivation for
-//!   a control-plane (prefix hijack) scenario: topology-identical
-//!   boundaries that the policy-aware memoization must still capture;
-//! * `toolkit/mapping_shared_world` — serving the Nautilus mapping
-//!   artifact to N scenarios sharing one world through the world-keyed
-//!   store vs recomputing the mapping run per scenario (the pre-PR-5
-//!   behaviour);
-//! * `engine/chaos_overhead` — the `workflow/exec_dag` workload executed
-//!   through a `ChaosRuntime` with an *empty* fault plan vs the bare
-//!   runtime: the pass-through tax of the injection layer, which the
-//!   PR 7 acceptance pins at ≤2% (speedup ≈ 1.0);
-//! * `engine/degraded_session` — the CS5 forensics query served with
-//!   `bgp.valley_violations` persistently failed (run completes
-//!   `Degraded`, skipping the poisoned attribution work) vs the same
-//!   query served healthy;
-//! * `forge/campaign_10k` — a full campaign (every base family plus both
-//!   composed families, ~1k scenario-queries) expanded, registered and
-//!   served through `CampaignRunner` at max workers vs the same campaign
-//!   at 1 worker;
-//! * `engine/telemetry_overhead` — the `workflow/exec_dag` workload with
-//!   a fresh `telemetry::Recorder` attached to the executor (every
-//!   attempt buffered, spans assembled in the fold) vs the untraced run:
-//!   the recording tax, which the PR 9 acceptance pins at ≤2%;
-//! * `workflow/trace_export` — serializing a recorded trace to both
-//!   canonical JSON and the Chrome `trace_event` format;
-//! * `conformance/scan_workspace` — the parallel incremental conformance
-//!   scanner (lex + item tree + all rules + crate graph) over the whole
-//!   workspace at per-CPU workers vs the serial scan.
+//! * `substrates/bgp/full_routing_table` — dense routing vs the retained seed engine;
+//! * `substrates/xaminer/impact_report` — oracle impact report for one cable failure;
+//! * `registry/search_400_entries` — four searches over a 400-entry padded registry;
+//! * `world/cross_layer_lookups` — cable/link/country index lookups;
+//! * `substrates/bgp/rib_capture_40_peers` — routing plus RIB paths for 40 peers;
+//! * `workflow/exec_dag` — a 24-wide fan-out DAG, max workers vs 1;
+//! * `engine/chaos_overhead` — that DAG through an empty-plan `ChaosRuntime` vs bare;
+//! * `engine/telemetry_overhead` — that DAG with a `Recorder` attached vs untraced;
+//! * `workflow/trace_export` — one recorded trace to canonical JSON and Chrome form;
+//! * `engine/concurrent_sessions` — 8 served queries on one store, max threads vs 1;
+//! * `world/generate_cold` / `world/generate_cached` — world generation vs a cache hit;
+//! * `forge/register_family_fleet` — every family's fleet registered vs cold generation;
+//! * `bgp/derive_updates_hijack` — the update stream of a prefix-hijack scenario;
+//! * `toolkit/mapping_shared_world` — mapping served from the world-keyed store vs recomputed;
+//! * `engine/degraded_session` — CS5 with a persistent detector outage vs healthy;
+//! * `forge/campaign_10k` — a ~1k scenario-query campaign, max workers vs 1;
+//! * `conformance/scan_workspace` — the parallel conformance scan vs serial;
+//! * `planning/generate_cs1`…`cs5` — one workflow generation per case-study query;
+//! * `planning/ensemble_cs1_x5` — a five-member CS1 ensemble;
+//! * `substrates/xaminer/cascade` — cascade propagation after a cable failure;
+//! * `substrates/traceroute/single_measurement` — one simulated traceroute;
+//! * `substrates/nautilus/dependency_table` — the dependency table from one mapping run;
+//! * `registry/plan_sweep` — E5: plan and search cost per padded registry size.
 
-// conformance: allow(no-wall-clock, reason = "the bench report exists to measure wall time")
-use std::time::Instant;
+use std::sync::Arc;
 
+use benchkit::{median_ms, paired};
+use llm::LanguageModel;
 use serde_json::{json, Value};
 use workflow::ToolRuntime;
 use world::{generate, Scenario, WorldConfig};
 
-/// Median wall-clock milliseconds over `iters` runs of `f` (plus one
-/// untimed warmup).
-fn median_ms<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    std::hint::black_box(f());
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            // conformance: allow(no-wall-clock, reason = "median_ms samples the clock being benchmarked")
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
 fn bench(id: &str, median: f64) -> Value {
     json!({ "id": id, "median_ms": median })
+}
+
+/// A row timing an arm against its `baseline`, both medians from one
+/// [`paired`] run; `extra` holds the row's own fields.
+fn two_arm(id: &str, baseline: &str, (median, base): (f64, f64), extra: Value) -> Value {
+    let mut row = json!({
+        "id": id,
+        "median_ms": median,
+        "baseline": baseline,
+        "baseline_median_ms": base,
+        "speedup": base / median,
+    });
+    if let (Some(fields), Value::Object(extra)) = (row.as_object_mut(), extra) {
+        fields.extend(extra);
+    }
+    row
 }
 
 fn main() {
@@ -97,37 +75,32 @@ fn main() {
     let world = &scenario.world;
     let mut benchmarks: Vec<Value> = Vec::new();
 
-    // --- BGP full routing table: dense engine vs retained seed engine ---
     let graph = bgp_sim::AsGraph::at_time(&scenario, net_model::SimTime::EPOCH);
-    let dense = median_ms(15, || {
-        let g = bgp_sim::AsGraph::at_time(&scenario, net_model::SimTime::EPOCH);
-        bgp_sim::RoutingTable::compute(&g, world).reachable_from(world.ases[0].asn)
-    });
-    let reference = median_ms(7, || {
-        let g = bgp_sim::AsGraph::at_time(&scenario, net_model::SimTime::EPOCH);
-        bgp_sim::routing::reference::compute(&g, world).len()
-    });
-    benchmarks.push(json!({
-        "id": "substrates/bgp/full_routing_table",
-        "median_ms": dense,
-        "baseline": "seed BTreeMap engine (bgp_sim::routing::reference)",
-        "baseline_median_ms": reference,
-        "speedup": reference / dense,
-    }));
-
-    // --- Xaminer: oracle impact report for a major cable failure --------
-    let engine = xaminer_sim::XaminerEngine::oracle(world);
-    let cable = world.cable_by_name("SeaMeWe-5").expect("curated cable").id;
-    benchmarks.push(bench(
-        "substrates/xaminer/impact_report",
-        median_ms(25, || {
-            engine
-                .impact_report(&xaminer_sim::FailureEvent::CableFailure { cable })
-                .total_links
-        }),
+    benchmarks.push(two_arm(
+        "substrates/bgp/full_routing_table",
+        "seed BTreeMap engine (bgp_sim::routing::reference)",
+        paired(
+            7,
+            || {
+                let g = bgp_sim::AsGraph::at_time(&scenario, net_model::SimTime::EPOCH);
+                bgp_sim::RoutingTable::compute(&g, world).reachable_from(world.ases[0].asn)
+            },
+            || {
+                let g = bgp_sim::AsGraph::at_time(&scenario, net_model::SimTime::EPOCH);
+                bgp_sim::routing::reference::compute(&g, world).len()
+            },
+        ),
+        json!({}),
     ));
 
-    // --- Registry: E5-style search against a padded registry ------------
+    let engine = xaminer_sim::XaminerEngine::oracle(world);
+    let cable = world.cable_by_name("SeaMeWe-5").expect("curated cable").id;
+    let cable_failure = xaminer_sim::FailureEvent::CableFailure { cable };
+    benchmarks.push(bench(
+        "substrates/xaminer/impact_report",
+        median_ms(25, || engine.impact_report(&cable_failure).total_links),
+    ));
+
     let registry = benchkit::padded_registry(400);
     let queries = [
         "map submarine cables",
@@ -142,7 +115,6 @@ fn main() {
         }),
     ));
 
-    // --- World: cross-layer index lookups (Xaminer/toolkit hot loops) ---
     let countries: Vec<net_model::Country> =
         world.ases.iter().map(|a| a.country).collect();
     benchmarks.push(bench(
@@ -160,7 +132,6 @@ fn main() {
         }),
     ));
 
-    // --- RIB capture: routing + per-(peer, origin) path materialization -
     let peers: Vec<net_model::Asn> =
         world.ases.iter().take(40).map(|a| a.asn).collect();
     benchmarks.push(bench(
@@ -172,107 +143,64 @@ fn main() {
         }),
     ));
 
-    // --- PR 3: parallel DAG executor, max workers vs 1 ------------------
-    // Exercise at least 4 workers even on small containers so the
-    // concurrent paths are the thing being measured; on a single-CPU box
-    // the speedup honestly reads ~1.0 and CI's multi-core run shows the
-    // real scaling.
-    let max_workers = workflow::exec::default_workers().max(4);
+    // Never more workers than the machine has cores: oversubscription
+    // turns the parallel arms into scheduler noise. Every row that runs
+    // parallel work records the cap as `workers`.
+    let max_workers = workflow::exec::default_workers();
     let (dag_registry, dag_workflow) = benchkit::exec_dag_workload(24);
     let busy = benchkit::BusyRuntime { rounds: 400_000 };
     let dag_args = std::collections::BTreeMap::new();
-    let dag_seq = median_ms(9, || {
-        workflow::execute_with(
-            &dag_workflow, &dag_registry, &busy, &dag_args,
-            &workflow::ExecOptions { workers: 1, ..Default::default() },
-        )
-        .executed
-    });
-    // The parallel arm doubles as the baseline for the chaos- and
-    // telemetry-overhead rows below, where the acceptance threshold is
-    // a couple of percent — sample it (and them) hard enough that
-    // scheduler jitter stays under the threshold being measured.
-    let dag_par = median_ms(21, || {
-        workflow::execute_with(
-            &dag_workflow, &dag_registry, &busy, &dag_args,
-            &workflow::ExecOptions { workers: max_workers, ..Default::default() },
-        )
-        .executed
-    });
-    benchmarks.push(json!({
-        "id": "workflow/exec_dag",
-        "median_ms": dag_par,
-        "baseline": "same DAG at 1 worker",
-        "baseline_median_ms": dag_seq,
-        "workers": max_workers,
-        "speedup": dag_seq / dag_par,
-    }));
+    let run_dag = |runtime: &dyn ToolRuntime, options: workflow::ExecOptions| {
+        workflow::execute_with(&dag_workflow, &dag_registry, runtime, &dag_args, &options)
+            .executed
+    };
+    let at_max = || workflow::ExecOptions { workers: max_workers, ..Default::default() };
+    benchmarks.push(two_arm(
+        "workflow/exec_dag",
+        "same DAG at 1 worker",
+        paired(
+            9,
+            || run_dag(&busy, at_max()),
+            || run_dag(&busy, workflow::ExecOptions { workers: 1, ..Default::default() }),
+        ),
+        json!({ "workers": max_workers }),
+    ));
 
-    // --- PR 7: chaos pass-through tax ------------------------------------
-    // The same DAG workload routed through a ChaosRuntime with an empty
-    // fault plan: every invocation pays the plan lookup + counter bump
-    // and nothing else. The acceptance pins this at ≤2% over the bare
-    // runtime (`workflow/exec_dag` parallel arm above).
+    // The chaos and telemetry taxes are pinned at ≤2%, so both rows
+    // sample hard enough that scheduler jitter stays under that.
     let chaotic = arachnet::ChaosRuntime::new(
         benchkit::BusyRuntime { rounds: 400_000 },
         arachnet::FaultPlan::empty(),
     );
-    let dag_chaos = median_ms(21, || {
-        workflow::execute_with(
-            &dag_workflow, &dag_registry, &chaotic, &dag_args,
-            &workflow::ExecOptions { workers: max_workers, ..Default::default() },
-        )
-        .executed
-    });
-    benchmarks.push(json!({
-        "id": "engine/chaos_overhead",
-        "median_ms": dag_chaos,
-        "baseline": "the same DAG on the bare runtime (workflow/exec_dag)",
-        "baseline_median_ms": dag_par,
-        "workers": max_workers,
-        "overhead_pct": (dag_chaos / dag_par - 1.0) * 100.0,
-        "speedup": dag_par / dag_chaos,
-    }));
+    let (dag_chaos, dag_bare) =
+        paired(21, || run_dag(&chaotic, at_max()), || run_dag(&busy, at_max()));
+    benchmarks.push(two_arm(
+        "engine/chaos_overhead",
+        "the same DAG on the bare runtime (workflow/exec_dag)",
+        (dag_chaos, dag_bare),
+        json!({ "workers": max_workers, "overhead_pct": (dag_chaos / dag_bare - 1.0) * 100.0 }),
+    ));
 
-    // --- PR 9: telemetry recording tax ------------------------------------
-    // The same DAG workload with a fresh Recorder attached: every
-    // invocation's events buffer through the recorder and the fold
-    // assembles the span tree. The acceptance pins this at ≤2% over the
-    // untraced parallel arm.
-    let dag_traced = median_ms(21, || {
-        let recorder = std::sync::Arc::new(arachnet::Recorder::new());
-        workflow::execute_with(
-            &dag_workflow, &dag_registry, &busy, &dag_args,
-            &workflow::ExecOptions {
-                workers: max_workers,
-                recorder: Some(std::sync::Arc::clone(&recorder)),
-                ..Default::default()
-            },
-        )
-        .executed
-    });
-    benchmarks.push(json!({
-        "id": "engine/telemetry_overhead",
-        "median_ms": dag_traced,
-        "baseline": "the same DAG untraced (workflow/exec_dag)",
-        "baseline_median_ms": dag_par,
-        "workers": max_workers,
-        "overhead_pct": (dag_traced / dag_par - 1.0) * 100.0,
-        "speedup": dag_par / dag_traced,
-    }));
+    let traced_options = || workflow::ExecOptions {
+        recorder: Some(Arc::new(arachnet::Recorder::new())),
+        ..at_max()
+    };
+    let (dag_traced, dag_untraced) =
+        paired(21, || run_dag(&busy, traced_options()), || run_dag(&busy, at_max()));
+    benchmarks.push(two_arm(
+        "engine/telemetry_overhead",
+        "the same DAG untraced (workflow/exec_dag)",
+        (dag_traced, dag_untraced),
+        json!({
+            "workers": max_workers,
+            "overhead_pct": (dag_traced / dag_untraced - 1.0) * 100.0,
+        }),
+    ));
 
-    // --- PR 9: trace exporters --------------------------------------------
-    // One recorded DAG execution serialized to both export formats:
-    // canonical JSON (the byte-stable artifact provenance records hash)
-    // and the Chrome trace_event form.
-    let export_recorder = std::sync::Arc::new(arachnet::Recorder::new());
-    workflow::execute_with(
-        &dag_workflow, &dag_registry, &busy, &dag_args,
-        &workflow::ExecOptions {
-            workers: max_workers,
-            recorder: Some(std::sync::Arc::clone(&export_recorder)),
-            ..Default::default()
-        },
+    let export_recorder = Arc::new(arachnet::Recorder::new());
+    run_dag(
+        &busy,
+        workflow::ExecOptions { recorder: Some(Arc::clone(&export_recorder)), ..at_max() },
     );
     let export_spans = export_recorder.trace().spans.len();
     benchmarks.push(json!({
@@ -283,96 +211,70 @@ fn main() {
         "spans": export_spans,
     }));
 
-    // --- PR 3 (rebaselined in PR 6): concurrent serving sessions ---------
-    // N identical queries (generate + execute) through engine sessions
-    // over one shared scenario. The old baseline — a cold private
-    // artifact store per query — stopped existing in PR 5: world-keyed
-    // stores share the mapping run across *any* registrations of the
-    // same world, so batch-of-one vs shared read ~1.0 on every machine.
-    // The contrast that remains in-tree is thread scaling: the same
-    // shared-store load at 1 session thread vs max-worker sessions.
-    // Like `workflow/exec_dag`, a single-CPU box honestly reads ~1.0 and
-    // CI's multi-core run shows the real scaling.
+    // World-keyed artifact stores share the mapping run across every
+    // registration of a world, so the contrast left in-tree is thread
+    // scaling over one shared store.
     let serve_queries = 8usize;
     let serve_query = "Identify the impact at a country level due to SeaMeWe-5 cable failure";
-    let serve_shared_seq = median_ms(3, || {
-        benchkit::serve_sessions(&scenario, serve_query, serve_queries, true, 1)
-    });
-    let serve_shared_par = median_ms(3, || {
-        benchkit::serve_sessions(&scenario, serve_query, serve_queries, true, max_workers)
-    });
-    benchmarks.push(json!({
-        "id": "engine/concurrent_sessions",
-        "median_ms": serve_shared_par,
-        "baseline": "same shared-store load at 1 session thread",
-        "baseline_median_ms": serve_shared_seq,
-        "queries": serve_queries,
-        "session_threads": max_workers,
-        "speedup": serve_shared_seq / serve_shared_par,
-    }));
+    benchmarks.push(two_arm(
+        "engine/concurrent_sessions",
+        "same shared-store load at 1 session thread",
+        paired(
+            3,
+            || benchkit::serve_sessions(&scenario, serve_query, serve_queries, true, max_workers),
+            || benchkit::serve_sessions(&scenario, serve_query, serve_queries, true, 1),
+        ),
+        json!({ "queries": serve_queries, "session_threads": max_workers }),
+    ));
 
-    // --- PR 4: content-addressed world cache -----------------------------
-    // One full world generation (the serving stack's cold-start cost)
-    // vs a cache hit on the same config: the hit is an Arc bump behind a
-    // short map lock, so N scenarios naming one config pay one build.
     let world_config = WorldConfig::default();
-    let generate_cold = median_ms(5, || generate(&world_config).links.len());
     let world_cache = arachnet::WorldCache::new();
     world_cache.get_or_generate(&world_config); // warm the slot
-    let generate_cached =
-        median_ms(200, || world_cache.get_or_generate(&world_config).links.len());
+    let (generate_cached, generate_cold) = paired(
+        5,
+        || world_cache.get_or_generate(&world_config).links.len(),
+        || generate(&world_config).links.len(),
+    );
     benchmarks.push(bench("world/generate_cold", generate_cold));
-    benchmarks.push(json!({
-        "id": "world/generate_cached",
-        "median_ms": generate_cached,
-        "baseline": "one full world generation (world/generate_cold)",
-        "baseline_median_ms": generate_cold,
-        "speedup": generate_cold / generate_cached,
-    }));
+    benchmarks.push(two_arm(
+        "world/generate_cached",
+        "one full world generation (world/generate_cold)",
+        (generate_cached, generate_cold),
+        json!({}),
+    ));
 
-    // --- PR 4: whole-fleet registration through Engine::register_family --
-    // Every family's fleet in one call, worlds deduplicated through the
-    // engine's cache; the baseline realizes the same blueprints with one
-    // cold generation per scenario (what scenario authoring cost before
-    // the forge).
     let fleet_params = arachnet::FamilyParams::default();
     let fleet_size: usize =
         arachnet::Family::ALL.iter().map(|f| f.expand(&fleet_params).len()).sum();
+    let family_count = arachnet::Family::ALL.len();
     // Registry and model construction stay outside the timed closure —
     // only engine setup + fleet registration is the path under test.
-    let fleet_model = std::sync::Arc::new(llm::DeterministicExpertModel::new());
+    let fleet_model: Arc<dyn LanguageModel> = Arc::new(llm::DeterministicExpertModel::new());
     let fleet_registry = benchkit::padded_registry(40);
-    let fleet_cached = median_ms(3, || {
-        let engine = arachnet::Engine::new(
-            std::sync::Arc::clone(&fleet_model) as std::sync::Arc<dyn llm::LanguageModel>,
-            fleet_registry.clone(),
-        );
-        engine.register_families(&arachnet::Family::ALL, &fleet_params).len()
-    });
-    let fleet_cold = median_ms(1, || {
-        arachnet::Family::ALL
-            .iter()
-            .flat_map(|f| f.expand(&fleet_params))
-            .map(|bp| {
-                bp.realize(std::sync::Arc::new(generate(&bp.config))).events.len()
-            })
-            .sum::<usize>()
-    });
-    let family_count = arachnet::Family::ALL.len();
-    benchmarks.push(json!({
-        "id": "forge/register_family_fleet",
-        "median_ms": fleet_cached,
-        "baseline": "one cold world generation per scenario (no cache)",
-        "baseline_median_ms": fleet_cold,
-        "scenarios": fleet_size,
-        "families": family_count,
-        "speedup": fleet_cold / fleet_cached,
-    }));
+    benchmarks.push(two_arm(
+        "forge/register_family_fleet",
+        "one cold world generation per scenario (no cache)",
+        paired(
+            1,
+            || {
+                arachnet::Engine::new(Arc::clone(&fleet_model), fleet_registry.clone())
+                    .register_families(&arachnet::Family::ALL, &fleet_params)
+                    .len()
+            },
+            || {
+                arachnet::Family::ALL
+                    .iter()
+                    .flat_map(|f| f.expand(&fleet_params))
+                    .map(|bp| bp.realize(Arc::new(generate(&bp.config))).events.len())
+                    .sum::<usize>()
+            },
+        ),
+        json!({ "scenarios": fleet_size, "families": family_count }),
+    ));
 
-    // --- PR 5: control-plane incident derivation --------------------------
-    // The full update stream for a prefix-hijack scenario: every event
-    // boundary is topology-identical, so the policy-aware memoization
-    // (not `same_topology` alone) decides the captures.
+    // Every event boundary of a hijack is topology-identical, so the
+    // policy-aware memoization (not `same_topology` alone) decides the
+    // captures.
     let hijack_victim = world.prefixes[0];
     let hijack_origin = world
         .ases
@@ -387,96 +289,72 @@ fn main() {
         },
         net_model::SimTime(5 * 86_400),
     );
-    let hijack_peers: Vec<net_model::Asn> =
-        world.ases.iter().take(40).map(|a| a.asn).collect();
     benchmarks.push(bench(
         "bgp/derive_updates_hijack",
-        median_ms(7, || {
-            bgp_sim::updates::derive_updates(&hijack_scenario, &hijack_peers).len()
-        }),
+        median_ms(7, || bgp_sim::updates::derive_updates(&hijack_scenario, &peers).len()),
     ));
 
-    // --- PR 5: world-keyed mapping artifacts ------------------------------
-    // N scenarios over one Arc<World>: the world-keyed store serves one
-    // mapping run to all of them; the baseline recomputes the Nautilus
-    // mapping per scenario (what per-scenario-key stores used to do).
     let mapping_scenarios = 4usize;
-    let mapping_shared = median_ms(9, || {
-        let mut served = 0usize;
-        for _ in 0..mapping_scenarios {
-            let rt = toolkit::StandardRuntime::new(world::Scenario::quiet(
-                scenario.world_handle(),
-                10,
-            ));
-            let map = std::collections::BTreeMap::new();
-            let value = rt
-                .invoke(&registry::FunctionId::from("nautilus.map_links"), &map)
-                .expect("mapping serves");
-            served += usize::from(value.is_native());
-        }
-        served
-    });
-    let mapping_cold = median_ms(3, || {
-        (0..mapping_scenarios)
-            .map(|_| {
-                nautilus_sim::NautilusMapper::new(nautilus_sim::MappingConfig::default())
-                    .map_world(world)
-                    .mappings
-                    .len()
-            })
-            .sum::<usize>()
-    });
-    benchmarks.push(json!({
-        "id": "toolkit/mapping_shared_world",
-        "median_ms": mapping_shared,
-        "baseline": "one Nautilus mapping run per scenario (per-scenario-key artifact stores)",
-        "baseline_median_ms": mapping_cold,
-        "scenarios": mapping_scenarios,
-        "speedup": mapping_cold / mapping_shared,
-    }));
+    let map_world = || {
+        nautilus_sim::NautilusMapper::new(nautilus_sim::MappingConfig::default())
+            .map_world(world)
+    };
+    benchmarks.push(two_arm(
+        "toolkit/mapping_shared_world",
+        "one Nautilus mapping run per scenario (per-scenario-key artifact stores)",
+        paired(
+            3,
+            || {
+                let mut served = 0usize;
+                for _ in 0..mapping_scenarios {
+                    let rt = toolkit::StandardRuntime::new(world::Scenario::quiet(
+                        scenario.world_handle(),
+                        10,
+                    ));
+                    let map = std::collections::BTreeMap::new();
+                    let value = rt
+                        .invoke(&registry::FunctionId::from("nautilus.map_links"), &map)
+                        .expect("mapping serves");
+                    served += usize::from(value.is_native());
+                }
+                served
+            },
+            || (0..mapping_scenarios).map(|_| map_world().mappings.len()).sum::<usize>(),
+        ),
+        json!({ "scenarios": mapping_scenarios }),
+    ));
 
-    // --- PR 7: degraded serving ------------------------------------------
-    // The CS5 forensics query with `bgp.valley_violations` persistently
-    // failed: the run completes Degraded — the poisoned attribution and
-    // impact steps are skipped, so the degraded path is *cheaper* than
-    // the healthy one, never slower. The baseline serves the same query
-    // healthy (empty fault plan).
-    let cs5 = toolkit::scenarios::cs5_hijack_scenario();
-    let serve_cs5 = |plan: arachnet::FaultPlan| {
+    // The degraded run skips the poisoned attribution and impact steps,
+    // so it should never be slower than the healthy one.
+    let cs5_session = |plan: arachnet::FaultPlan| {
         let engine = arachnet::Engine::new(
-            std::sync::Arc::clone(&fleet_model) as std::sync::Arc<dyn llm::LanguageModel>,
+            Arc::clone(&fleet_model),
             toolkit::catalog::standard_registry(),
         )
         .with_fault_plan(plan);
-        engine.register_scenario("cs5", cs5.clone());
-        let session = engine.session("cs5").expect("cs5 registered");
-        let scenario = session.scenario();
-        let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-        let context = toolkit::catalog::query_context(&scenario.world, scenario.now, horizon_days);
-        let run = session
-            .run(toolkit::scenarios::CS5_QUERY, &context)
-            .expect("query serves");
-        run.report.executed
+        engine.register_scenario("cs5", toolkit::scenarios::cs5_hijack_scenario());
+        engine.session("cs5").expect("cs5 registered")
+    };
+    let serve_cs5 = |plan: arachnet::FaultPlan| {
+        let session = cs5_session(plan);
+        let context = benchkit::session_context(&session);
+        session.run(toolkit::scenarios::CS5_QUERY, &context).expect("query serves").report.executed
     };
     let degraded_plan = arachnet::FaultPlan::new(7)
         .with_fault("bgp.valley_violations", arachnet::FaultKind::Persistent);
-    let session_healthy = median_ms(5, || serve_cs5(arachnet::FaultPlan::empty()));
-    let session_degraded = median_ms(5, || serve_cs5(degraded_plan.clone()));
-    benchmarks.push(json!({
-        "id": "engine/degraded_session",
-        "median_ms": session_degraded,
-        "baseline": "the same CS5 forensics query served healthy (empty fault plan)",
-        "baseline_median_ms": session_healthy,
-        "speedup": session_healthy / session_degraded,
-    }));
+    benchmarks.push(two_arm(
+        "engine/degraded_session",
+        "the same CS5 forensics query served healthy (empty fault plan)",
+        paired(
+            5,
+            || serve_cs5(degraded_plan.clone()),
+            || serve_cs5(arachnet::FaultPlan::empty()),
+        ),
+        json!({}),
+    ));
 
-    // --- PR 8: fleet-scale campaign serving -------------------------------
-    // Every base family plus both composed families expanded through one
-    // `CampaignSpec` and served end to end (decompose + plan + execute
-    // per query) through the engine's session pool: ~1k scenario-queries
-    // per run, worlds deduplicated through the shared cache, outcomes
-    // reduced to a `ResilienceScorecard` with a provenance record per
-    // query. The baseline is the identical campaign at 1 worker.
+    // Every base and composed family, with enough query phrasings that
+    // scenarios × queries clears 1k tasks.
     let campaign_params = campaign::FamilyParams::default();
     let mut campaign_ensembles: Vec<campaign::EnsembleSpec> = arachnet::Family::ALL
         .iter()
@@ -489,7 +367,6 @@ fn main() {
     );
     let campaign_scenarios: usize =
         campaign_ensembles.iter().map(|e| e.expand()[0].blueprints.len()).sum();
-    // Enough query phrasings that scenarios × queries clears 1k tasks.
     let campaign_queries: Vec<String> = (0..1000usize.div_ceil(campaign_scenarios))
         .map(|i| {
             format!(
@@ -501,67 +378,113 @@ fn main() {
         .collect();
     let campaign_spec =
         campaign::CampaignSpec::new(campaign_ensembles, campaign_queries);
-    // Per-query DAGs run at 1 executor worker here so the campaign-level
-    // worker pool is the only parallelism being contrasted — otherwise
-    // the two pools oversubscribe each other on small containers.
+    // Per-query DAGs run at 1 executor worker so the campaign-level
+    // worker pool is the only parallelism being contrasted.
     let campaign_engine = arachnet::Engine::new(
-        std::sync::Arc::clone(&fleet_model) as std::sync::Arc<dyn llm::LanguageModel>,
+        Arc::clone(&fleet_model),
         toolkit::catalog::standard_registry(),
     )
     .with_exec_workers(1);
     let campaign_tasks = std::cell::Cell::new(0usize);
-    let campaign_par = median_ms(3, || {
-        let report = campaign::CampaignRunner::new(&campaign_engine)
-            .with_workers(max_workers)
-            .run(&campaign_spec);
-        assert_eq!(report.scorecard.failed, 0, "campaign serves cleanly");
-        campaign_tasks.set(report.scorecard.queries);
-        report.scorecard.queries
-    });
-    let campaign_seq = median_ms(1, || {
-        campaign::CampaignRunner::new(&campaign_engine)
-            .with_workers(1)
-            .run(&campaign_spec)
-            .scorecard
-            .queries
-    });
-    benchmarks.push(json!({
-        "id": "forge/campaign_10k",
-        "median_ms": campaign_par,
-        "baseline": "the identical campaign served at 1 worker",
-        "baseline_median_ms": campaign_seq,
-        "scenario_queries": campaign_tasks.get(),
-        "scenarios": campaign_scenarios,
-        "workers": max_workers,
-        "speedup": campaign_seq / campaign_par,
-    }));
+    benchmarks.push(two_arm(
+        "forge/campaign_10k",
+        "the identical campaign served at 1 worker",
+        paired(
+            1,
+            || {
+                let report = campaign::CampaignRunner::new(&campaign_engine)
+                    .with_workers(max_workers)
+                    .run(&campaign_spec);
+                assert_eq!(report.scorecard.failed, 0, "campaign serves cleanly");
+                campaign_tasks.set(report.scorecard.queries);
+                report.scorecard.queries
+            },
+            || {
+                campaign::CampaignRunner::new(&campaign_engine)
+                    .with_workers(1)
+                    .run(&campaign_spec)
+                    .scorecard
+                    .queries
+            },
+        ),
+        json!({
+            "scenario_queries": campaign_tasks.get(),
+            "scenarios": campaign_scenarios,
+            "workers": max_workers,
+        }),
+    ));
 
-    // --- PR 10: parallel conformance scan ---------------------------------
-    // The whole-workspace conformance scan (file collection, lexing, item
-    // trees, every file rule, the crate graph and the workspace rules) at
-    // per-CPU workers vs the serial scan. The scan_determinism suite pins
-    // the two byte-identical; this row records what the parallelism buys.
     let scan_root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let scan_serial = median_ms(5, || {
-        conformance::scan(scan_root).expect("workspace scans").findings.len()
-    });
-    let scan_par = median_ms(9, || {
-        conformance::scan::scan_parallel(scan_root, 0, None)
-            .expect("workspace scans")
-            .findings
-            .len()
-    });
-    let scan_workers =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let scan_speedup = scan_serial / scan_par;
-    benchmarks.push(json!({
-        "id": "conformance/scan_workspace",
-        "median_ms": scan_par,
-        "baseline": "the same scan run serially",
-        "baseline_median_ms": scan_serial,
-        "workers": scan_workers,
-        "speedup": scan_speedup,
-    }));
+    let scan_workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    benchmarks.push(two_arm(
+        "conformance/scan_workspace",
+        "the same scan run serially",
+        paired(
+            5,
+            || {
+                conformance::scan::scan_parallel(scan_root, 0, None)
+                    .expect("workspace scans")
+                    .findings
+                    .len()
+            },
+            || conformance::scan(scan_root).expect("workspace scans").findings.len(),
+        ),
+        json!({ "workers": scan_workers }),
+    ));
+
+    let mut planning: Vec<(usize, &str, arachnet::Session)> = arachnet_repro::CaseStudy::ALL
+        .iter()
+        .map(|&case| (case.index(), case.query(), benchkit::case_study_session(case)))
+        .collect();
+    planning.push((5, toolkit::scenarios::CS5_QUERY, cs5_session(arachnet::FaultPlan::empty())));
+    for (index, query, session) in &planning {
+        let context = benchkit::session_context(session);
+        benchmarks.push(bench(
+            &format!("planning/generate_cs{index}"),
+            median_ms(10, || session.generate(query, &context).expect("generation succeeds").loc),
+        ));
+    }
+    let (_, cs1_query, cs1_session) = &planning[0];
+    let cs1_context = benchkit::session_context(cs1_session);
+    benchmarks.push(bench(
+        "planning/ensemble_cs1_x5",
+        median_ms(10, || {
+            arachnet::ensemble::generate_ensemble(cs1_session, cs1_query, &cs1_context, 5)
+                .expect("ensemble succeeds")
+                .consensus
+        }),
+    ));
+
+    let initial = engine.process(&cable_failure);
+    let cascade_config =
+        xaminer_sim::CascadeConfig { base_load: 0.75, ..xaminer_sim::CascadeConfig::default() };
+    benchmarks.push(bench(
+        "substrates/xaminer/cascade",
+        median_ms(25, || {
+            xaminer_sim::cascade::propagate(world, &initial, &cascade_config).depth()
+        }),
+    ));
+
+    let tracer = traceroute_sim::TracerouteSimulator::new(&scenario);
+    let (probe, dst) = (world.probes[0].id, world.prefixes[100].net.host(1));
+    benchmarks.push(bench(
+        "substrates/traceroute/single_measurement",
+        median_ms(25, || tracer.measure(probe, dst, net_model::SimTime(3600), 0).hops.len()),
+    ));
+
+    let mapping = map_world();
+    benchmarks.push(bench(
+        "substrates/nautilus/dependency_table",
+        median_ms(25, || {
+            nautilus_sim::DependencyTable::from_mapping(world, &mapping, 0.2).cables().len()
+        }),
+    ));
+
+    let points: Vec<Value> = benchkit::registry_scaling_curve(&benchkit::E5_PADDING)
+        .iter()
+        .map(|p| json!({ "entries": p.entries, "plan_ms": p.plan_ms, "search_ms": p.search_ms }))
+        .collect();
+    benchmarks.push(json!({ "id": "registry/plan_sweep", "points": points }));
 
     let report = json!({
         "pr": 10,

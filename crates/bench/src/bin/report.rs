@@ -244,18 +244,16 @@ fn cs4() {
 /// E5 — registry scaling.
 fn scaling() {
     header("E5 | Registry scaling — exploration cost vs registry size");
-    let sizes = [0usize, 25, 50, 100, 200, 400];
-    let curve = registry_scaling_curve(&sizes);
-    println!("  {:>10} | {:>12}", "entries", "plan µs");
-    for (n, us) in &curve {
-        println!("  {n:>10} | {us:>12}");
+    let curve = registry_scaling_curve(&E5_PADDING);
+    println!("  {:>10} | {:>12} | {:>12}", "entries", "plan µs", "search µs");
+    for p in &curve {
+        println!("  {:>10} | {:>12.1} | {:>12.1}", p.entries, p.plan_ms * 1e3, p.search_ms * 1e3);
     }
-    let (n0, t0) = curve.first().copied().unwrap();
-    let (n1, t1) = curve.last().copied().unwrap();
+    let (first, last) = (&curve[0], &curve[curve.len() - 1]);
     println!(
         "  growth: {:.1}x entries -> {:.1}x time (linear-ish expected)",
-        n1 as f64 / n0 as f64,
-        t1 as f64 / t0.max(1) as f64
+        last.entries as f64 / first.entries as f64,
+        last.plan_ms / first.plan_ms
     );
 }
 

@@ -1,12 +1,14 @@
-//! # benchkit — shared evaluation helpers for benches and the report
-//! binary.
+//! # benchkit — shared evaluation helpers for the `report` and
+//! `bench_report` binaries.
 //!
 //! The experiment ids (E1–E8, F1) follow the paper's §4 evaluation; every
-//! function here regenerates one of its artifacts.
+//! function here regenerates one of its artifacts. [`median_ms`] and
+//! [`paired`] are the crate's only wall-clock timers.
 
-use arachnet::{ensemble, DeterministicExpertModel};
+use arachnet::{ensemble, DeterministicExpertModel, Session};
 use arachnet_repro::{run_case_study, CaseStudy, CaseStudyRun};
 use baselines::metrics;
+use llm::protocol::QueryContext;
 use toolkit::data::{CountryTableData, TimelineData, VerdictData};
 use toolkit::{catalog, scenarios};
 
@@ -75,35 +77,83 @@ pub fn verdicts(run: &CaseStudyRun) -> (Option<VerdictData>, Option<VerdictData>
     (run.output_as(), run.expert_output_as())
 }
 
-/// E5: registry exploration cost vs registry size. Returns
-/// `(registry_size, planner_micros)` pairs for one decomposition planned
-/// against registries padded with `n` extra irrelevant entries.
-pub fn registry_scaling_curve(sizes: &[usize]) -> Vec<(usize, u128)> {
-    use llm::protocol::{DecomposeRequest, QueryContext};
+/// Wall-clock milliseconds of one call of `f`.
+fn sample_ms<T>(f: &mut impl FnMut() -> T) -> f64 {
+    // conformance: allow(no-wall-clock, reason = "the bench crate's one timer")
+    let t0 = std::time::Instant::now();
+    std::hint::black_box(f());
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
+}
+
+/// Median wall-clock milliseconds over `iters` runs of `f` (plus one
+/// untimed warmup).
+pub fn median_ms<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(f());
+    median((0..iters).map(|_| sample_ms(&mut f)).collect())
+}
+
+/// Median milliseconds of `arm` and of `baseline` over `pairs`
+/// interleaved samples (A B A B …, after one untimed warmup each), so
+/// machine drift lands on both arms alike.
+pub fn paired<A, B>(
+    pairs: usize,
+    mut arm: impl FnMut() -> A,
+    mut baseline: impl FnMut() -> B,
+) -> (f64, f64) {
+    std::hint::black_box(arm());
+    std::hint::black_box(baseline());
+    let (a, b) = (0..pairs).map(|_| (sample_ms(&mut arm), sample_ms(&mut baseline))).unzip();
+    (median(a), median(b))
+}
+
+/// The registry sizes (extra padding entries) E5 sweeps.
+pub const E5_PADDING: [usize; 6] = [0, 25, 50, 100, 200, 400];
+
+/// One E5 point: planning and search cost at one registry size.
+#[derive(Debug, Clone)]
+pub struct ScalingPoint {
+    pub entries: usize,
+    pub plan_steps: usize,
+    pub plan_ms: f64,
+    pub search_ms: f64,
+}
+
+/// E5: registry exploration cost vs registry size. One point per
+/// padding in `paddings`: one decomposition planned against the standard
+/// registry padded with that many irrelevant entries, and one search
+/// over the same registry, each a median.
+pub fn registry_scaling_curve(paddings: &[usize]) -> Vec<ScalingPoint> {
+    use llm::protocol::DecomposeRequest;
     let scenario = scenarios::cs2_scenario();
-    let context = QueryContext {
-        cable_names: scenario.world.cables.iter().map(|c| c.name.clone()).collect(),
-        now: scenario.now.seconds_since_epoch(),
-        horizon_days: 10,
-    };
-    let mut out = Vec::new();
-    for &n in sizes {
-        let registry = padded_registry(n);
-        let req = DecomposeRequest {
-            query: CaseStudy::Cs2DisasterImpact.query().to_string(),
-            context: context.clone(),
-            registry: registry.clone(),
-        };
-        let decomposition = llm::expert::decompose(&req);
-        // conformance: allow(no-wall-clock, reason = "bench crate measures wall time; E5 times the planner")
-        let start = std::time::Instant::now();
-        let plan = llm::planner::plan_architecture(&decomposition, &registry, 0)
-            .expect("plannable at any padding");
-        let micros = start.elapsed().as_micros();
-        assert!(!plan.steps.is_empty());
-        out.push((registry.len(), micros));
-    }
-    out
+    let context = catalog::query_context(&scenario.world, scenario.now, 10);
+    paddings
+        .iter()
+        .map(|&n| {
+            let registry = padded_registry(n);
+            let decomposition = llm::expert::decompose(&DecomposeRequest {
+                query: CaseStudy::Cs2DisasterImpact.query().to_string(),
+                context: context.clone(),
+                registry: registry.clone(),
+            });
+            let plan = || {
+                llm::planner::plan_architecture(&decomposition, &registry, 0)
+                    .expect("plannable at any padding")
+            };
+            ScalingPoint {
+                entries: registry.len(),
+                plan_steps: plan().steps.len(),
+                plan_ms: median_ms(15, plan),
+                search_ms: median_ms(25, || {
+                    registry.search("rank suspect cables by latency evidence", 5).len()
+                }),
+            }
+        })
+        .collect()
 }
 
 /// The standard registry padded with `n` irrelevant (but well-typed)
@@ -127,17 +177,26 @@ pub fn padded_registry(n: usize) -> registry::Registry {
     r
 }
 
+/// A serving session over `case`'s scenario.
+pub fn case_study_session(case: CaseStudy) -> Session {
+    arachnet_repro::case_study_engine(case)
+        .session(&format!("cs{}", case.index()))
+        .expect("scenario registered by case_study_engine")
+}
+
+/// The query context a session's agents see: its scenario's cables,
+/// clock and horizon.
+pub fn session_context(session: &Session) -> QueryContext {
+    let scenario = session.scenario();
+    let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
+    catalog::query_context(&scenario.world, scenario.now, horizon_days)
+}
+
 /// E6: ensemble consensus for a case-study query. Members generate
 /// through a serving-engine session (sharing one epoch snapshot).
 pub fn ensemble_consensus(case: CaseStudy, n: usize) -> (f64, Vec<(String, f64)>) {
-    let engine = arachnet_repro::case_study_engine(case);
-    let session = engine
-        .session(&format!("cs{}", case.index()))
-        .expect("scenario registered by case_study_engine");
-    let scenario = session.scenario();
-    let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-    let context = catalog::query_context(&scenario.world, scenario.now, horizon_days);
-    let report = ensemble::generate_ensemble(&session, case.query(), &context, n)
+    let session = case_study_session(case);
+    let report = ensemble::generate_ensemble(&session, case.query(), &session_context(&session), n)
         .expect("ensemble generation succeeds");
     let agreements = report
         .agreements
@@ -288,11 +347,7 @@ pub fn serve_sessions(
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let Some(key) = keys.get(i) else { return };
                 let session = engine.session(key).expect("registered");
-                let scenario = session.scenario();
-                let horizon_days = scenario.horizon.duration().as_seconds() / 86_400;
-                let context =
-                    catalog::query_context(&scenario.world, scenario.now, horizon_days);
-                let run = session.run(query, &context).expect("query serves");
+                let run = session.run(query, &session_context(&session)).expect("query serves");
                 assert!(run.report.all_ok(), "qa: {:?}", run.report.qa);
                 outputs.fetch_add(
                     run.report.outputs.len(),
@@ -341,8 +396,17 @@ mod tests {
 
     #[test]
     fn scaling_curve_has_requested_points() {
-        let curve = registry_scaling_curve(&[0, 20]);
+        let curve = registry_scaling_curve(&[0, 25]);
         assert_eq!(curve.len(), 2);
-        assert!(curve[1].0 > curve[0].0);
+        assert_eq!(curve[1].entries, curve[0].entries + 25);
+        assert!(curve.iter().all(|p| p.plan_steps > 0));
+    }
+
+    #[test]
+    fn paired_alternates_the_arms_with_equal_counts() {
+        let log = std::cell::RefCell::new(String::new());
+        paired(3, || log.borrow_mut().push('A'), || log.borrow_mut().push('B'));
+        // One warmup each, then three interleaved pairs.
+        assert_eq!(log.into_inner(), "ABABABAB");
     }
 }

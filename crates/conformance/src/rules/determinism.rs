@@ -70,9 +70,8 @@ impl FileRule for NoUnorderedIteration {
 /// `no-wall-clock`: `Instant`/`SystemTime` outside test code and
 /// measurement context. Scenario expansion, world generation and
 /// serving must be pure functions of their inputs; wall-clock reads are
-/// hidden inputs. The bench crate *measures* wall time — its sites
-/// carry explicit `conformance: allow` pragmas, and `benches/`
-/// directories are exempt wholesale.
+/// hidden inputs. The bench crate *measures* wall time — its one timer
+/// carries an explicit `conformance: allow` pragma.
 pub struct NoWallClock;
 
 impl FileRule for NoWallClock {
@@ -81,14 +80,11 @@ impl FileRule for NoWallClock {
     }
 
     fn description(&self) -> &'static str {
-        "std::time::Instant/SystemTime are banned outside tests and benches; \
+        "std::time::Instant/SystemTime are banned outside tests; \
          deterministic code takes time as an explicit SimTime input"
     }
 
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.in_benches_dir {
-            return;
-        }
         let sig = SigView::new(file);
         for i in 0..sig.len() {
             if !sig.is_ident(i) || file.is_test_code(sig.offset(i)) {
@@ -128,9 +124,6 @@ impl FileRule for NoUnseededRng {
     }
 
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.in_benches_dir {
-            return;
-        }
         let sig = SigView::new(file);
         for i in 0..sig.len() {
             if !sig.is_ident(i) || file.is_test_code(sig.offset(i)) {

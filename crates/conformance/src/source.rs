@@ -29,12 +29,9 @@ pub struct SourceFile {
     /// Byte spans of items gated on test compilation (`#[cfg(test)]`,
     /// `#[test]`), flattened from the item tree.
     pub test_spans: Vec<(usize, usize)>,
-    /// Whether the whole file is test/measurement context (under a
-    /// `tests/` or `benches/` directory).
+    /// Whether the whole file is test context (under a `tests/`
+    /// directory).
     pub whole_file_test: bool,
-    /// Whether the file lives under a `benches/` directory (exempt from
-    /// the wall-clock and rng rules, like `crates/bench` via pragmas).
-    pub in_benches_dir: bool,
     pub allows: Vec<Allow>,
     pub pragma_errors: Vec<PragmaError>,
     /// Indices of significant tokens (everything except whitespace and
@@ -62,10 +59,7 @@ impl SourceFile {
         let tree = ItemTree::parse(&text, &tokens, &sig_idx);
         let test_spans = tree.test_spans();
         let (allows, pragma_errors) = parse_pragmas(&text, &tokens);
-        let components: Vec<&str> = rel_path.split('/').collect();
-        let whole_file_test =
-            components.contains(&"tests") || components.contains(&"benches");
-        let in_benches_dir = components.contains(&"benches");
+        let whole_file_test = rel_path.split('/').any(|c| c == "tests");
         SourceFile {
             rel_path: rel_path.to_string(),
             text,
@@ -73,7 +67,6 @@ impl SourceFile {
             tree,
             test_spans,
             whole_file_test,
-            in_benches_dir,
             allows,
             pragma_errors,
             sig_idx,
@@ -218,5 +211,16 @@ mod tests {
         assert_eq!(f.crate_name(), "demo");
         let root = SourceFile::from_text("src/lib.rs", "fn x() {}".into());
         assert_eq!(root.crate_name(), "arachnet-repro");
+    }
+
+    #[test]
+    fn benches_dir_is_not_exempt_from_the_wall_clock_rule() {
+        use crate::rules::{determinism::NoWallClock, FileRule};
+        let src = "fn t() -> u128 { std::time::Instant::now().elapsed().as_nanos() }\n";
+        let f = SourceFile::from_text("crates/x/benches/t.rs", src.to_string());
+        let mut findings = Vec::new();
+        NoWallClock.check_file(&f, &mut findings);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].rule, "no-wall-clock");
     }
 }

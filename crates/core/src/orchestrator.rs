@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use llm::protocol::*;
 use llm::LanguageModel;
 use registry::{CapabilityEntry, DataFormat, FunctionId, Implementation, Registry};
-use workflow::{check, to_source, Binding, Step, TypedValue, Workflow};
+use workflow::{check, to_source, Binding, Step, Value, Workflow};
 
 use crate::agents::{AgentError, QueryMind, RegistryCurator, SolutionWeaver, WorkflowScout};
 
@@ -92,11 +92,11 @@ pub struct GeneratedSolution {
 impl GeneratedSolution {
     /// Query-argument values for executing the workflow, resolved by
     /// QueryMind during decomposition.
-    pub fn query_args(&self) -> BTreeMap<String, TypedValue> {
+    pub fn query_args(&self) -> BTreeMap<String, Value> {
         self.decomposition
             .provided_args
             .iter()
-            .map(|(name, a)| (name.clone(), TypedValue::new(a.format, a.value.clone())))
+            .map(|(name, a)| (name.clone(), Value::new(a.format, a.value.clone())))
             .collect()
     }
 

@@ -31,10 +31,6 @@ use crate::{Binding, StepId, Workflow};
 
 pub use crate::value::{Value, ValueView};
 
-/// Backwards-compatible alias: the PR 3 API renamed `TypedValue` to
-/// [`Value`] when the payload went Arc-shared.
-pub type TypedValue = Value;
-
 /// Errors a tool invocation can raise.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ToolError {

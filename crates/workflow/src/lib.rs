@@ -29,7 +29,7 @@ pub mod value;
 pub use check::{check, TypeError};
 pub use exec::{
     execute, execute_with, ExecOptions, ExecutionReport, InvokeContext, QaFinding, RetryPolicy,
-    RunHealth, StepResult, ToolError, ToolRuntime, TypedValue,
+    RunHealth, StepResult, ToolError, ToolRuntime,
 };
 pub use render::{loc, to_source};
 pub use value::{Value, ValueView};
