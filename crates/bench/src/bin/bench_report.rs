@@ -27,7 +27,7 @@
 //! * `toolkit/mapping_shared_world` — mapping served from the world-keyed store vs recomputed;
 //! * `engine/degraded_session` — CS5 with a persistent detector outage vs healthy;
 //! * `forge/campaign_10k` — a ~1k scenario-query campaign, max workers vs 1;
-//! * `conformance/scan_workspace` — the parallel conformance scan vs serial;
+//! * `conformance/scan_workspace` — one conformance scan of the workspace;
 //! * `planning/generate_cs1`…`cs5` — one workflow generation per case-study query;
 //! * `planning/ensemble_cs1_x5` — a five-member CS1 ensemble;
 //! * `substrates/xaminer/cascade` — cascade propagation after a cable failure;
@@ -415,21 +415,9 @@ fn main() {
     ));
 
     let scan_root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let scan_workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    benchmarks.push(two_arm(
+    benchmarks.push(bench(
         "conformance/scan_workspace",
-        "the same scan run serially",
-        paired(
-            5,
-            || {
-                conformance::scan::scan_parallel(scan_root, 0, None)
-                    .expect("workspace scans")
-                    .findings
-                    .len()
-            },
-            || conformance::scan(scan_root).expect("workspace scans").findings.len(),
-        ),
-        json!({ "workers": scan_workers }),
+        median_ms(5, || conformance::scan(scan_root).expect("workspace scans").findings.len()),
     ));
 
     let mut planning: Vec<(usize, &str, arachnet::Session)> = arachnet_repro::CaseStudy::ALL

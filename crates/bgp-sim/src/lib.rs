@@ -12,16 +12,12 @@
 //! * [`updates`] — update streams derived by diffing RIBs across each
 //!   scenario event, with deterministic convergence jitter and path
 //!   exploration transients;
-//! * [`mrt`] — a compact MRT-flavoured binary encoding (over `bytes`)
-//!   with an iterator-based reader, so downstream tools parse dumps the
-//!   way real pipelines parse RouteViews files;
 //! * [`anomaly`] — update-burst and reachability-loss detectors.
 //!
 //! Everything is a pure function of the scenario; there is no hidden state.
 
 pub mod anomaly;
 pub mod graph;
-pub mod mrt;
 pub mod rib;
 pub mod routing;
 pub mod updates;

@@ -1,28 +1,21 @@
 //! The conformance gate CI runs.
 //!
 //! ```text
-//! cargo run -p conformance                       # scan, report, fail on new findings
-//! cargo run -p conformance -- --deny-new        # CI mode: stale baseline entries fail too
-//! cargo run -p conformance -- --update-baseline # rewrite the baseline from this scan
-//! cargo run -p conformance -- --json report.json
-//! cargo run -p conformance -- --workers 4       # shard the scan (0 = one per CPU)
+//! cargo run -p conformance                          # scan, report, fail on any finding
+//! cargo run -p conformance -- --json report.json    # also write the JSON artifact
+//! cargo run -p conformance -- --root path/to/tree   # scan another tree
 //! ```
 //!
-//! The scan is sharded across workers and folded in path order, so its
-//! output is bit-identical at any `--workers` value (including the
-//! serial scan the library exposes).
+//! The process exits non-zero exactly when the scan has a finding.
+//! Reasoned `// conformance: allow(...)` pragmas are the only
+//! suppression, and a pragma that suppresses nothing is a finding too.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use conformance::{Baseline, BASELINE_PATH};
-
 struct Args {
     root: PathBuf,
-    deny_new: bool,
-    update_baseline: bool,
     json_out: Option<PathBuf>,
-    workers: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -30,16 +23,11 @@ fn parse_args() -> Result<Args, String> {
     // levels up.
     let mut args = Args {
         root: PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")),
-        deny_new: false,
-        update_baseline: false,
         json_out: None,
-        workers: 0, // one per available CPU
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--deny-new" => args.deny_new = true,
-            "--update-baseline" => args.update_baseline = true,
             "--json" => {
                 let path = it.next().ok_or("--json requires a path")?;
                 args.json_out = Some(PathBuf::from(path));
@@ -47,12 +35,6 @@ fn parse_args() -> Result<Args, String> {
             "--root" => {
                 let path = it.next().ok_or("--root requires a path")?;
                 args.root = PathBuf::from(path);
-            }
-            "--workers" => {
-                let n = it.next().ok_or("--workers requires a count")?;
-                args.workers = n
-                    .parse()
-                    .map_err(|_| format!("--workers: `{n}` is not a count"))?;
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -69,8 +51,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let result = conformance::scan::scan_parallel(&args.root, args.workers, None);
-    let scan = match result {
+    let scan = match conformance::scan(&args.root) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("conformance: scan failed: {e}");
@@ -78,34 +59,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = args.root.join(BASELINE_PATH);
-    if args.update_baseline {
-        let baseline = Baseline::from_findings(&scan.findings);
-        if let Err(e) = std::fs::write(&baseline_path, baseline.to_json()) {
-            eprintln!("conformance: cannot write baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "conformance: baseline rewritten with {} entr{} at {}",
-            baseline.entries.len(),
-            if baseline.entries.len() == 1 { "y" } else { "ies" },
-            baseline_path.display(),
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("conformance: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = baseline.apply(scan.findings.clone());
-
-    print!("{}", conformance::report::render_text(&scan, &outcome));
+    print!("{}", conformance::report::render_text(&scan));
     if let Some(json_path) = &args.json_out {
-        let doc = conformance::report::to_json(&scan, &outcome);
+        let doc = conformance::report::to_json(&scan);
         let text = serde_json::to_string_pretty(&doc).expect("report serializes");
         if let Err(e) = std::fs::write(json_path, format!("{text}\n")) {
             eprintln!("conformance: cannot write {}: {e}", json_path.display());
@@ -114,11 +70,9 @@ fn main() -> ExitCode {
         eprintln!("conformance: wrote {}", json_path.display());
     }
 
-    let failed =
-        !outcome.new.is_empty() || (args.deny_new && !outcome.stale.is_empty());
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if scan.findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

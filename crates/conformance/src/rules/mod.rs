@@ -1,8 +1,8 @@
 //! The rule framework.
 //!
 //! Rules come in two shapes. A [`FileRule`] checks one file at a time —
-//! these are the parallelizable, cacheable majority, sharded across
-//! workers by the scanner ([`crate::scan`]). A workspace [`Rule`] sees
+//! these are the parallelizable majority, sharded across workers by
+//! [`crate::scan_workspace`]. A workspace [`Rule`] sees
 //! the whole [`Workspace`] (and its crate graph), so cross-file
 //! invariants like the dense/reference engine pairing and the
 //! dependency closure are expressible; those run serially after the
@@ -26,9 +26,9 @@ pub mod shared_mutation;
 pub const PRAGMA_SYNTAX: &str = "pragma-syntax";
 
 /// Rule id for allow pragmas that suppress nothing (reported by the
-/// engine after pragma filtering — see [`crate::scan_workspace`]). Like
-/// the baseline, the pragma set is shrink-only: a pragma whose finding
-/// was burned down must be deleted, not left to rot.
+/// engine after pragma filtering — see [`crate::scan_workspace`]). The
+/// pragma set is shrink-only: a pragma whose finding was burned down
+/// must be deleted, not left to rot.
 pub const UNUSED_PRAGMA: &str = "unused-pragma";
 
 /// One diagnostic: a rule violated at a file/line.
@@ -41,17 +41,8 @@ pub struct Finding {
     /// 1-based line, or 0 for crate-level aggregates.
     pub line: u32,
     pub message: String,
-    /// Trimmed source line — the baseline matches on this, not the line
-    /// number, so unrelated edits don't invalidate grandfathered
-    /// findings.
+    /// Trimmed source line, for diagnostics.
     pub snippet: String,
-}
-
-impl Finding {
-    /// The identity the baseline matches on.
-    pub fn key(&self) -> (String, String, String) {
-        (self.rule.to_string(), self.file.clone(), self.snippet.clone())
-    }
 }
 
 /// Where workspace rules deposit findings — plus the allow pragmas they
@@ -78,8 +69,7 @@ impl Sink {
 }
 
 /// A rule over one source file. Implementations must not consult
-/// anything beyond the file — the scanner runs them in parallel and
-/// caches their findings per file content.
+/// anything beyond the file — the scan runs them in parallel.
 pub trait FileRule {
     fn id(&self) -> &'static str;
     fn description(&self) -> &'static str;
@@ -137,7 +127,7 @@ pub fn all_rules() -> Vec<RuleInfo> {
         id: UNUSED_PRAGMA,
         description:
             "a `// conformance: allow(...)` pragma that suppresses no finding is \
-             itself a finding; the pragma set is shrink-only, like the baseline",
+             itself a finding; the pragma set is shrink-only",
     });
     out
 }

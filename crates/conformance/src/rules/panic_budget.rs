@@ -22,10 +22,9 @@ pub const BUDGETS: [(&str, usize); 6] = [
     // path, so a panic here would take down otherwise-healthy queries;
     // zero slack on purpose.
     ("telemetry", 0),
-    // fault-injection runtime: zero panic sites today; headroom of 2 for
-    // genuine invariants only — injected faults must surface as
-    // ToolError, never as panics.
-    ("chaos", 2),
+    // fault-injection runtime: zero panic sites, zero slack — injected
+    // faults must surface as ToolError, never as panics.
+    ("chaos", 0),
     // engine/session/orchestrator/ensemble serving core: the ensemble
     // scope-join slot and the curate-validated registry lookup (PR 6
     // burned the partial_cmp unwraps down to total_cmp).

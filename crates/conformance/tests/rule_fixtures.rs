@@ -1,9 +1,9 @@
 //! Per-rule fixture coverage: one violating and one clean fixture per
-//! rule, pragma-allow behavior, and baseline matching/expiry.
+//! rule, and pragma-allow behavior.
 
 use std::path::PathBuf;
 
-use conformance::{scan, Baseline, Finding};
+use conformance::{scan, Finding};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures")).join(name)
@@ -167,34 +167,4 @@ fn deps_clean_fixture_closure_holds() {
         world.deps.iter().any(|d| d.key.as_deref() == Some("vendor/serde")),
         "the workspace-table serde dep resolves to the vendored stand-in"
     );
-}
-
-#[test]
-fn baseline_covers_then_expires() {
-    let violating = scan(&fixture("violating")).expect("fixture scans");
-
-    // Grandfather everything: nothing new, nothing stale.
-    let baseline = Baseline::from_findings(&violating.findings);
-    let outcome = baseline.apply(violating.findings.clone());
-    assert!(outcome.new.is_empty());
-    assert!(outcome.stale.is_empty());
-    assert_eq!(outcome.baselined.len(), violating.findings.len());
-
-    // Round-trip through JSON keeps covering.
-    let reloaded = Baseline::from_json(&baseline.to_json()).expect("parses");
-    assert!(reloaded.apply(violating.findings.clone()).new.is_empty());
-
-    // Drop one entry: exactly the findings it covered become new.
-    let mut shrunk = baseline.clone();
-    let removed = shrunk.entries.remove(0);
-    let outcome = shrunk.apply(violating.findings.clone());
-    assert_eq!(outcome.new.len(), removed.count);
-    assert!(outcome.new.iter().all(|f| f.rule == removed.rule));
-
-    // Fix the findings (here: scan the clean tree instead): every entry
-    // is now expired and the scan demands the baseline shrink.
-    let clean = scan(&fixture("clean")).expect("fixture scans");
-    let outcome = baseline.apply(clean.findings);
-    assert!(outcome.new.is_empty());
-    assert_eq!(outcome.stale.len(), baseline.entries.len());
 }

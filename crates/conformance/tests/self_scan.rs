@@ -1,50 +1,26 @@
 //! The workspace scans itself clean — and the gate actually fires when
 //! a violation is injected, for every rule class.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use conformance::{scan_workspace, Baseline, SourceFile, Workspace, BASELINE_PATH};
+use conformance::{scan_workspace, SourceFile, Workspace};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
 #[test]
-fn workspace_has_zero_non_baselined_findings() {
+fn workspace_has_zero_findings() {
     let root = workspace_root();
     let scan = conformance::scan(&root).expect("workspace scans");
     assert!(scan.files_scanned > 80, "scanned {} files", scan.files_scanned);
     assert!(conformance::all_rules().len() >= 10);
-
-    let baseline = Baseline::load(&root.join(BASELINE_PATH)).expect("baseline loads");
-    let outcome = baseline.apply(scan.findings);
-    assert_eq!(
-        outcome.new,
-        Vec::new(),
-        "the workspace must scan clean against the committed baseline"
+    assert!(
+        scan.findings.is_empty(),
+        "the workspace must scan clean (reasoned pragmas are the only suppression): {:#?}",
+        scan.findings
     );
-    assert_eq!(outcome.stale.len(), 0, "stale baseline entries must be removed");
-
-    // The committed baseline grandfathers no determinism findings in
-    // the crates whose byte-identical outputs the ROADMAP pins.
-    for entry in &baseline.entries {
-        let determinism = matches!(
-            entry.rule.as_str(),
-            "no-unordered-iteration"
-                | "no-wall-clock"
-                | "no-unseeded-rng"
-                | "float-total-order"
-                | "no-shared-mutation"
-        );
-        let pinned_crate = ["crates/core", "crates/workflow", "crates/scenario-forge"]
-            .iter()
-            .any(|p| entry.file.starts_with(p));
-        assert!(
-            !(determinism && pinned_crate),
-            "determinism finding grandfathered in a pinned crate: {entry:?}"
-        );
-    }
 }
 
 #[test]
@@ -93,11 +69,8 @@ fn injected_violation_fails_the_gate() {
     )));
 
     let scan = scan_workspace(&ws);
-    let baseline =
-        Baseline::load(&root.join(BASELINE_PATH)).expect("baseline loads");
-    let outcome = baseline.apply(scan.findings);
-    let injected: Vec<_> = outcome
-        .new
+    let injected: Vec<_> = scan
+        .findings
         .iter()
         .filter(|f| f.file == "crates/world/src/injected.rs")
         .collect();
@@ -202,5 +175,4 @@ fn fixture_trees_are_not_part_of_the_workspace_scan() {
     assert!(files.iter().all(|f| !f.contains("/fixtures/")));
     assert!(files.iter().all(|f| !f.starts_with("vendor")));
     assert!(files.contains(&"crates/bgp-sim/src/routing.rs".to_string()));
-    assert!(Path::new(&root).join(BASELINE_PATH).is_file());
 }

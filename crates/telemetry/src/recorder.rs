@@ -20,9 +20,9 @@
 //! cache probes.
 //!
 //! Logical clock: each attempt costs one tick; each retry additionally
-//! advances by its backoff (`base << attempt`, the executor's own
-//! schedule); a poisoned (never-invoked) step costs one tick. Wall
-//! clocks never appear — the crate is in conformance's
+//! advances by the backoff the executor observed for it (the retry
+//! policy owns that schedule); a poisoned (never-invoked) step costs
+//! one tick. Wall clocks never appear — the crate is in conformance's
 //! `DETERMINISTIC_CRATES` and scans clean under `no-wall-clock`.
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -30,10 +30,6 @@ use crate::trace::{span_id, Event, EventKind, Span, SpanKind, SpanStatus, Trace}
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Maximum shift applied to the backoff base — mirrors
-/// `RetryPolicy::backoff_ticks`.
-const MAX_BACKOFF_SHIFT: u32 = 16;
 
 /// What the executor observed for one step, in workflow list order.
 /// The bridge between `ExecutionReport`'s fold and the trace assembly.
@@ -45,8 +41,9 @@ pub struct StepObservation {
     pub function: String,
     /// False when the step was poisoned and never invoked.
     pub invoked: bool,
-    /// Retries consumed (attempts = retries + 1 when invoked).
-    pub retries: u32,
+    /// Logical backoff ticks charged before each retry, one entry per
+    /// retry (attempts = retries + 1 when invoked).
+    pub retry_backoffs: Vec<u64>,
     /// Terminal status of the step.
     pub status: SpanStatus,
     /// Failed root steps this step's poisoning is attributed to.
@@ -198,7 +195,7 @@ impl Recorder {
     /// salts from direct `invoke` calls) is discarded, its events having
     /// already been counted. One workflow is recorded at a time per
     /// recorder — the executor runs under a single `execute_with` call.
-    pub fn record_workflow(&self, workflow: &str, backoff_base: u64, steps: &[StepObservation]) {
+    pub fn record_workflow(&self, workflow: &str, steps: &[StepObservation]) {
         let mut state = self.state.lock();
         state.begin(SpanKind::Workflow, workflow);
         let mut attempts_total = 0u64;
@@ -217,9 +214,10 @@ impl Recorder {
                 state.clock += 1;
                 state.end(obs.status);
             } else {
-                let attempts = obs.retries + 1;
+                let retries = obs.retry_backoffs.len() as u32;
+                let attempts = retries + 1;
                 attempts_total += attempts as u64;
-                retries_total += obs.retries as u64;
+                retries_total += retries as u64;
                 for attempt in 0..attempts {
                     state.begin(SpanKind::Attempt, &obs.function);
                     let buffered = state
@@ -232,9 +230,7 @@ impl Recorder {
                     state.clock += 1;
                     let last = attempt + 1 == attempts;
                     state.end(if last { obs.status } else { SpanStatus::Failed });
-                    if !last {
-                        let backoff =
-                            backoff_base << attempt.min(MAX_BACKOFF_SHIFT);
+                    if let Some(&backoff) = obs.retry_backoffs.get(attempt as usize) {
                         state.emit(EventKind::Retry {
                             attempt,
                             backoff_ticks: backoff,
@@ -316,7 +312,7 @@ mod tests {
             step: step.into(),
             function: function.into(),
             invoked: true,
-            retries: 0,
+            retry_backoffs: Vec::new(),
             status: SpanStatus::Ok,
             poison_roots: Vec::new(),
         }
@@ -325,7 +321,7 @@ mod tests {
     #[test]
     fn record_workflow_builds_parented_spans_on_the_logical_clock() {
         let recorder = Recorder::new();
-        recorder.record_workflow("w", 2, &[ok_step("s0", "f.a"), ok_step("s1", "f.b")]);
+        recorder.record_workflow("w", &[ok_step("s0", "f.a"), ok_step("s1", "f.b")]);
         let trace = recorder.trace();
         // workflow + 2 steps + 2 attempts
         assert_eq!(trace.spans.len(), 5);
@@ -347,9 +343,9 @@ mod tests {
     fn retries_advance_backoff_and_emit_retry_events() {
         let recorder = Recorder::new();
         let mut obs = ok_step("s0", "f.a");
-        obs.retries = 2;
+        obs.retry_backoffs = vec![2, 4];
         obs.status = SpanStatus::Failed;
-        recorder.record_workflow("w", 2, &[obs]);
+        recorder.record_workflow("w", &[obs]);
         let trace = recorder.trace();
         // attempts at ticks [0,1), [3,4) (backoff 2), [8,9) (backoff 4)
         let attempts: Vec<&Span> = trace
@@ -386,8 +382,8 @@ mod tests {
             },
         );
         let mut obs = ok_step("s0", "f.a");
-        obs.retries = 1;
-        recorder.record_workflow("w", 1, &[obs]);
+        obs.retry_backoffs = vec![1];
+        recorder.record_workflow("w", &[obs]);
         let trace = recorder.trace();
         let fault = trace
             .events
@@ -411,7 +407,7 @@ mod tests {
         poisoned.invoked = false;
         poisoned.status = SpanStatus::Poisoned;
         poisoned.poison_roots = vec!["s0".into()];
-        recorder.record_workflow("w", 1, &[ok_step("s0", "f.a"), poisoned]);
+        recorder.record_workflow("w", &[ok_step("s0", "f.a"), poisoned]);
         let trace = recorder.trace();
         let attribution = trace
             .events
@@ -432,7 +428,7 @@ mod tests {
         let recorder = Recorder::new();
         recorder.begin_span(SpanKind::Session, "query");
         recorder.emit(EventKind::EpochPinned { sequence: 3 });
-        recorder.record_workflow("w", 1, &[ok_step("s0", "f.a")]);
+        recorder.record_workflow("w", &[ok_step("s0", "f.a")]);
         recorder.end_span(SpanStatus::Ok);
         let trace = recorder.trace();
         let session = &trace.spans[0];
@@ -460,9 +456,9 @@ mod tests {
                 },
             );
             let mut obs = ok_step("s0", "f.a");
-            obs.retries = 1;
+            obs.retry_backoffs = vec![4];
             obs.status = SpanStatus::Failed;
-            recorder.record_workflow("w", 4, &[obs]);
+            recorder.record_workflow("w", &[obs]);
             (recorder.trace_json(), recorder.trace_hash())
         };
         assert_eq!(run(), run());

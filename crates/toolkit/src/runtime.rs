@@ -468,7 +468,7 @@ impl ToolRuntime for StandardRuntime {
                 let dst = parse_region(function, "dst_region", need(args, function, "dst_region")?)?;
                 let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
                 let key = format!("campaign:{src:?}:{dst:?}:{}:{}", w.start, w.end);
-                self.artifacts.get_or_build(&key, || {
+                self.cached(&self.artifacts, &key, || {
                     let campaign = run_campaign(&self.scenario, src, dst, w.to_window());
                     Ok(Value::native(F::TracerouteCampaign, campaign, false))
                 })
@@ -1040,6 +1040,25 @@ mod tests {
         let p1: *const MappingTable = m1.native_ref::<MappingTable>().unwrap();
         let p2: *const MappingTable = m2.native_ref::<MappingTable>().unwrap();
         assert!(std::ptr::eq(p1, p2), "artifact is shared, not recomputed");
+    }
+
+    #[test]
+    fn probe_campaigns_count_cache_hits_and_misses() {
+        let recorder = Arc::new(telemetry::Recorder::new());
+        let rt = StandardRuntime::new(scenarios::cs4_scenario())
+            .with_recorder(Arc::clone(&recorder));
+        let args = || {
+            vec![
+                ("src_region", tv(F::RegionScope, serde_json::json!("Europe"))),
+                ("dst_region", tv(F::RegionScope, serde_json::json!("Asia"))),
+                ("window", tv(F::TimeWindow, serde_json::json!({"start": 0, "end": 86_400}))),
+            ]
+        };
+        invoke(&rt, "traceroute.campaign", args()).unwrap();
+        invoke(&rt, "traceroute.campaign", args()).unwrap();
+        let counters = recorder.metrics_snapshot();
+        assert_eq!(counters.counter("artifact_cache.miss"), 1);
+        assert_eq!(counters.counter("artifact_cache.hit"), 1);
     }
 
     #[test]

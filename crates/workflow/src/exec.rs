@@ -226,31 +226,25 @@ impl ExecutionReport {
 /// Budgeted retries with deterministic logical backoff.
 ///
 /// Only [`ToolError::Failed`] with `transient: true` is retried. Backoff
-/// is counted in *logical ticks* — `base << attempt` — never wall-clock
+/// is counted in *logical ticks* — `1 << attempt` — never wall-clock
 /// sleeps, so retried runs stay bit-identical at any worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first (0 disables retries).
     pub max_retries: u32,
-    /// Base of the exponential logical backoff, in ticks.
-    pub backoff_base_ticks: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 0, backoff_base_ticks: 1 }
-    }
 }
 
 impl RetryPolicy {
     /// A policy allowing `max_retries` extra attempts.
     pub fn with_retries(max_retries: u32) -> RetryPolicy {
-        RetryPolicy { max_retries, ..RetryPolicy::default() }
+        RetryPolicy { max_retries }
     }
 
-    /// Logical ticks charged before re-running attempt `attempt + 1`.
+    /// Logical ticks charged before re-running attempt `attempt + 1`:
+    /// the one owner of the backoff schedule (the trace recorder is
+    /// handed these ticks per retry).
     pub fn backoff_ticks(&self, attempt: u32) -> u64 {
-        self.backoff_base_ticks << attempt.min(16)
+        1 << attempt.min(16)
     }
 }
 
@@ -490,7 +484,9 @@ pub fn execute_with(
                 step: step.id.0.clone(),
                 function: step.function.to_string(),
                 invoked: outcome.invoked,
-                retries: outcome.retries as u32,
+                retry_backoffs: (0..outcome.retries as u32)
+                    .map(|attempt| options.retry.backoff_ticks(attempt))
+                    .collect(),
                 status,
                 poison_roots,
             });
@@ -509,7 +505,7 @@ pub fn execute_with(
     exec_metrics.add("exec.qa_findings", qa.len() as u64);
 
     if let Some(recorder) = &options.recorder {
-        recorder.record_workflow(&workflow.id, options.retry.backoff_base_ticks, &observations);
+        recorder.record_workflow(&workflow.id, &observations);
     }
 
     let outputs: BTreeMap<StepId, Value> = workflow
