@@ -435,7 +435,26 @@ mod tests {
         for expected in ["nautilus", "xaminer", "bgp", "traceroute", "util", "qa"] {
             assert!(fw.contains(&expected.to_string()), "missing {expected}");
         }
-        assert!(r.len() >= 22, "catalog size {}", r.len());
+        assert_eq!(r.len(), 30, "catalog size");
+    }
+
+    /// FNV-1a 64 over a registry's JSON: pins the exact bytes agents
+    /// plan against (every prompt and perfbench digest derives from them).
+    fn json_fnv(r: &Registry) -> (usize, u64) {
+        let json = r.to_json().unwrap();
+        let hash = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (json.len(), hash)
+    }
+
+    #[test]
+    fn registry_json_is_pinned() {
+        assert_eq!(json_fnv(&standard_registry()), (19_930, 0xcda7129e714ce602));
+        assert_eq!(
+            json_fnv(&restricted_registry(&["xaminer.event_impact"])),
+            (19_233, 0x6a00a6a4820d705)
+        );
     }
 
     #[test]
