@@ -1,5 +1,11 @@
-//! The standard tool runtime: dispatches every catalog function onto the
-//! substrate crates.
+//! The standard tool runtime: [`StandardRuntime`] runs the functions of
+//! the tool table ([`crate::catalog`]) against the substrate crates.
+//!
+//! `invoke` looks the called id up in the table (an unknown id is
+//! [`ToolError::Unbound`]), decodes the named arguments against the
+//! entry's declared inputs into positional `Args` — a missing input is
+//! a [`ToolError::BadArgument`] before any handler runs — and calls the
+//! entry's handler.
 //!
 //! Values leave the runtime as **native artifacts** (mapping tables,
 //! dependency tables, BGP update streams, impact tables, campaigns) held
@@ -23,17 +29,12 @@ use registry::{DataFormat as F, FunctionId};
 use workflow::{ToolError, ToolRuntime, Value, ValueView};
 use world::{Scenario, World};
 
-use bgp_sim::{
-    detect_moas_conflicts, detect_update_bursts, detect_valley_violations, BgpSimulator,
-    BgpUpdate, MoasConflict, ValleyViolation,
-};
+use bgp_sim::BgpSimulator;
 use nautilus_sim::{DependencyTable, MappingConfig, MappingTable, NautilusMapper};
 use traceroute_sim::TracerouteSimulator;
-use xaminer_sim::{CascadeConfig, FailureEvent, FailureImpact};
 
-use crate::analysis;
+use crate::catalog::{self, Tool};
 use crate::data::*;
-use crate::disasters;
 
 /// One build-once artifact slot.
 type ArtifactSlot = Arc<OnceLock<Result<Value, ToolError>>>;
@@ -154,7 +155,7 @@ impl StandardRuntime {
 
     /// `get_or_build` with hit/miss accounting: the build closure runs
     /// only on a cold slot, so whether it ran *is* the miss signal.
-    fn cached(
+    pub(crate) fn cached(
         &self,
         store: &ArtifactStore,
         key: &str,
@@ -177,6 +178,11 @@ impl StandardRuntime {
         &self.scenario
     }
 
+    /// The scenario's world.
+    pub(crate) fn world(&self) -> &World {
+        &self.scenario.world
+    }
+
     /// The scenario-level artifact store backing this runtime.
     pub fn artifacts(&self) -> &Arc<ArtifactStore> {
         &self.artifacts
@@ -190,7 +196,7 @@ impl StandardRuntime {
 
     // -- cached artifacts ---------------------------------------------------
 
-    fn mapping_value(&self) -> Result<Value, ToolError> {
+    pub(crate) fn mapping_value(&self) -> Result<Value, ToolError> {
         self.cached(&self.world_artifacts, "nautilus.mapping", || {
             let table = NautilusMapper::new(MappingConfig::default())
                 .map_world(&self.scenario.world);
@@ -198,7 +204,7 @@ impl StandardRuntime {
         })
     }
 
-    fn default_deps_value(&self) -> Result<Value, ToolError> {
+    pub(crate) fn default_deps_value(&self) -> Result<Value, ToolError> {
         // Derive from the cached mapping artifact — the mapping run is the
         // expensive half and must not be recomputed per dependency table.
         // Both are pure functions of the world, so they live in the
@@ -211,7 +217,7 @@ impl StandardRuntime {
         })
     }
 
-    fn updates_value(&self) -> Result<Value, ToolError> {
+    pub(crate) fn updates_value(&self) -> Result<Value, ToolError> {
         self.cached(&self.artifacts, "bgp.updates_full", || {
             let sim = BgpSimulator::new(&self.scenario);
             let updates = sim.updates();
@@ -220,7 +226,7 @@ impl StandardRuntime {
         })
     }
 
-    fn baseline_rib_value(&self) -> Result<Value, ToolError> {
+    pub(crate) fn baseline_rib_value(&self) -> Result<Value, ToolError> {
         // The collector RIB at the horizon start: the MOAS detector's
         // baseline. Scenario-level (the timeline could in principle start
         // with an already-active incident).
@@ -236,47 +242,101 @@ impl StandardRuntime {
     }
 }
 
-// -- argument helpers --------------------------------------------------------
+// -- argument decoding --------------------------------------------------------
 
-fn need<'a>(
-    args: &'a BTreeMap<String, Value>,
-    function: &FunctionId,
-    name: &str,
-) -> Result<&'a Value, ToolError> {
-    args.get(name).ok_or_else(|| ToolError::BadArgument {
-        function: function.clone(),
-        message: format!("missing argument {name}"),
-    })
+/// One call's arguments, decoded against the called `Tool`'s declared
+/// inputs: slot `i` is declared input `i`. Handlers read slots by
+/// position through the typed accessors, whose errors name the declared
+/// parameter, and wrap results in the declared output format.
+pub(crate) struct Args<'a> {
+    function: &'a FunctionId,
+    output: F,
+    inputs: Vec<(&'static str, &'a Value)>,
 }
 
-/// Views an argument as `T`: zero-copy for native artifacts of that type,
-/// JSON deserialization otherwise.
-fn view<'a, T: serde::de::DeserializeOwned + 'static>(
-    function: &FunctionId,
-    name: &str,
-    tv: &'a Value,
-) -> Result<ValueView<'a, T>, ToolError> {
-    tv.view().map_err(|e| ToolError::BadArgument {
-        function: function.clone(),
-        message: format!("argument {name}: {e}"),
-    })
+impl<'a> Args<'a> {
+    /// Binds `named` to `tool`'s declared inputs, checking presence in
+    /// declared order; extra arguments are ignored.
+    pub(crate) fn decode(
+        tool: &'static Tool,
+        function: &'a FunctionId,
+        named: &'a BTreeMap<String, Value>,
+    ) -> Result<Args<'a>, ToolError> {
+        let inputs = tool
+            .inputs
+            .iter()
+            .map(|&(name, _)| match named.get(name) {
+                Some(value) => Ok((name, value)),
+                None => Err(bad(function, format!("missing argument {name}"))),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Args { function, output: tool.output, inputs })
+    }
+
+    /// Slot `i`'s raw value.
+    pub(crate) fn value(&self, i: usize) -> Result<&'a Value, ToolError> {
+        self.slot(i).map(|(_, value)| value)
+    }
+
+    /// Views slot `i` as `T`: zero-copy for native artifacts of that type,
+    /// JSON deserialization otherwise.
+    pub(crate) fn view<T: serde::de::DeserializeOwned + 'static>(
+        &self,
+        i: usize,
+    ) -> Result<ValueView<'a, T>, ToolError> {
+        let (name, value) = self.slot(i)?;
+        value.view().map_err(|e| bad(self.function, format!("argument {name}: {e}")))
+    }
+
+    /// Parses slot `i` into an owned `T` via the JSON projection (for
+    /// small query-side values: windows, names, scalars).
+    pub(crate) fn de<T: serde::de::DeserializeOwned>(&self, i: usize) -> Result<T, ToolError> {
+        let (name, value) = self.slot(i)?;
+        T::deserialize_json(value.json())
+            .map_err(|e| bad(self.function, format!("argument {name}: {e}")))
+    }
+
+    /// Parses slot `i` as a region name.
+    pub(crate) fn region(&self, i: usize) -> Result<Region, ToolError> {
+        let s: String = self.de(i)?;
+        Region::parse(&s).ok_or_else(|| bad(self.function, format!("unknown region {s:?}")))
+    }
+
+    /// Wraps a substrate result as a native (non-empty) artifact of the
+    /// declared output format.
+    pub(crate) fn out<T: serde::Serialize + Send + Sync + 'static>(
+        &self,
+        value: T,
+    ) -> Result<Value, ToolError> {
+        Ok(Value::native(self.output, value, false))
+    }
+
+    /// Wraps a sequence-shaped result, preserving JSON emptiness semantics.
+    pub(crate) fn out_seq<T: serde::Serialize + Send + Sync + 'static>(
+        &self,
+        value: Vec<T>,
+    ) -> Result<Value, ToolError> {
+        let empty = value.is_empty();
+        Ok(Value::native(self.output, value, empty))
+    }
+
+    /// A permanent failure of the called tool.
+    pub(crate) fn fail(&self, message: String) -> ToolError {
+        ToolError::Failed { function: self.function.clone(), message, transient: false }
+    }
+
+    fn slot(&self, i: usize) -> Result<(&'static str, &'a Value), ToolError> {
+        let slot = self.inputs.get(i).copied();
+        slot.ok_or_else(|| bad(self.function, format!("input {i} is not declared")))
+    }
 }
 
-/// Parses an argument into an owned `T` via the JSON projection (for
-/// small query-side values: windows, names, scalars).
-fn de<T: serde::de::DeserializeOwned>(
-    function: &FunctionId,
-    name: &str,
-    tv: &Value,
-) -> Result<T, ToolError> {
-    T::deserialize_json(tv.json()).map_err(|e| ToolError::BadArgument {
-        function: function.clone(),
-        message: format!("argument {name}: {e}"),
-    })
+fn bad(function: &FunctionId, message: String) -> ToolError {
+    ToolError::BadArgument { function: function.clone(), message }
 }
 
 /// Views an internally cached artifact as `T`.
-fn view_of<'a, T: serde::de::DeserializeOwned + 'static>(
+pub(crate) fn view_of<'a, T: serde::de::DeserializeOwned + 'static>(
     tv: &'a Value,
     what: &str,
 ) -> Result<ValueView<'a, T>, ToolError> {
@@ -287,398 +347,34 @@ fn view_of<'a, T: serde::de::DeserializeOwned + 'static>(
     })
 }
 
-/// Wraps a substrate result as a native (non-empty) artifact value.
-fn out<T: serde::Serialize + Send + Sync + 'static>(
-    format: F,
-    value: T,
-) -> Result<Value, ToolError> {
-    Ok(Value::native(format, value, false))
-}
-
-/// Wraps a sequence-shaped result, preserving JSON emptiness semantics.
-fn out_seq<T: serde::Serialize + Send + Sync + 'static>(
-    format: F,
-    value: Vec<T>,
-) -> Result<Value, ToolError> {
-    let empty = value.is_empty();
-    Ok(Value::native(format, value, empty))
-}
-
 #[derive(serde::Deserialize)]
-struct WindowArg {
-    start: i64,
-    end: i64,
+pub(crate) struct WindowArg {
+    pub(crate) start: i64,
+    pub(crate) end: i64,
 }
 
 impl WindowArg {
-    fn to_window(&self) -> TimeWindow {
+    pub(crate) fn to_window(&self) -> TimeWindow {
         TimeWindow::new(SimTime(self.start), SimTime(self.end))
     }
 }
 
-fn parse_region(function: &FunctionId, name: &str, tv: &Value) -> Result<Region, ToolError> {
-    let s: String = de(function, name, tv)?;
-    Region::parse(&s).ok_or_else(|| ToolError::BadArgument {
-        function: function.clone(),
-        message: format!("unknown region {s:?}"),
-    })
-}
-
 impl ToolRuntime for StandardRuntime {
+    /// Looks `function` up in the tool table, decodes `args` against its
+    /// declared inputs and runs its handler.
     fn invoke(
         &self,
         function: &FunctionId,
         args: &BTreeMap<String, Value>,
     ) -> Result<Value, ToolError> {
-        let world = &self.scenario.world;
-        match function.0.as_str() {
-            // ------------------------------------------------ nautilus ----
-            "nautilus.map_links" => self.mapping_value(),
-            "nautilus.dependency_table" => {
-                let mapping: ValueView<'_, MappingTable> =
-                    view(function, "mapping", need(args, function, "mapping")?)?;
-                let deps = DependencyTable::from_mapping(world, &mapping, 0.2);
-                out(F::DependencyTable, deps)
-            }
-            "nautilus.resolve_cable" => {
-                let name: String = de(function, "cable_name", need(args, function, "cable_name")?)?;
-                let cable = world.cable_by_name(&name).ok_or_else(|| ToolError::Failed {
-                    function: function.clone(),
-                    message: format!("cable {name:?} not found in the cartography catalog"),
-                    transient: false,
-                })?;
-                out(F::CableRef, CableRefData { id: cable.id.0, name: cable.name.clone() })
-            }
-            "nautilus.cable_dependencies" => {
-                let deps: ValueView<'_, DependencyTable> =
-                    view(function, "deps", need(args, function, "deps")?)?;
-                let cable: CableRefData = de(function, "cable", need(args, function, "cable")?)?;
-                out(F::CableDependencies, deps.for_cable(CableId(cable.id)))
-            }
-
-            // ------------------------------------------------- xaminer ----
-            "xaminer.process_event" => {
-                let event: ValueView<'_, FailureEvent> =
-                    view(function, "event", need(args, function, "event")?)?;
-                let deps: ValueView<'_, DependencyTable> =
-                    view(function, "deps", need(args, function, "deps")?)?;
-                out(F::FailureImpact, xaminer_sim::process_event(world, &deps, &event))
-            }
-            "xaminer.impact_report" => {
-                let impact: ValueView<'_, FailureImpact> =
-                    view(function, "impact", need(args, function, "impact")?)?;
-                out(F::ImpactReport, xaminer_sim::impact::aggregate(world, &impact))
-            }
-            "xaminer.country_aggregate" => {
-                let report: ValueView<'_, xaminer_sim::ImpactReport> =
-                    view(function, "report", need(args, function, "report")?)?;
-                out(F::CountryImpactTable, country_table(&report))
-            }
-            "xaminer.event_impact" => {
-                let event: ValueView<'_, FailureEvent> =
-                    view(function, "event", need(args, function, "event")?)?;
-                let deps_value = self.default_deps_value()?;
-                let deps: ValueView<'_, DependencyTable> =
-                    view_of(&deps_value, "default deps")?;
-                let failure = xaminer_sim::process_event(world, &deps, &event);
-                let report = xaminer_sim::impact::aggregate(world, &failure);
-                out(F::CountryImpactTable, country_table(&report))
-            }
-            "xaminer.cascade" => {
-                let impact: ValueView<'_, FailureImpact> =
-                    view(function, "impact", need(args, function, "impact")?)?;
-                let config = CascadeConfig { base_load: 0.75, ..CascadeConfig::default() };
-                let timeline = xaminer_sim::cascade::propagate(world, &impact, &config);
-                out(F::CascadeTimeline, timeline)
-            }
-            "xaminer.risk_profiles" => {
-                let deps: ValueView<'_, DependencyTable> =
-                    view(function, "deps", need(args, function, "deps")?)?;
-                out_seq(F::RiskProfiles, xaminer_sim::risk::all_risk_profiles(world, &deps))
-            }
-
-            // ----------------------------------------------------- bgp ----
-            "bgp.updates" => {
-                let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
-                let window = w.to_window();
-                let full_value = self.updates_value()?;
-                let full: ValueView<'_, Vec<BgpUpdate>> =
-                    view_of(&full_value, "bgp updates")?;
-                let updates: Vec<BgpUpdate> =
-                    full.iter().filter(|u| window.contains(u.time)).cloned().collect();
-                out_seq(F::BgpUpdates, updates)
-            }
-            "bgp.rib_snapshot" => {
-                let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
-                let sim = BgpSimulator::new(&self.scenario);
-                let peers: Vec<net_model::Asn> =
-                    sim.collectors().iter().take(10).copied().collect();
-                let rib = bgp_sim::RibSnapshot::capture(
-                    &self.scenario,
-                    &peers,
-                    w.to_window().end,
-                );
-                out(F::RibSnapshot, rib)
-            }
-            "bgp.detect_bursts" => {
-                let updates: ValueView<'_, Vec<BgpUpdate>> =
-                    view(function, "updates", need(args, function, "updates")?)?;
-                let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
-                let window = w.to_window();
-                let hours = (window.duration().as_seconds() / 3600).clamp(24, 400) as usize;
-                let bursts = detect_update_bursts(&updates, window, hours, 3.0);
-                out_seq(F::BgpBursts, bursts)
-            }
-            "bgp.detect_moas" => {
-                let updates: ValueView<'_, Vec<BgpUpdate>> =
-                    view(function, "updates", need(args, function, "updates")?)?;
-                let baseline_value = self.baseline_rib_value()?;
-                let baseline: ValueView<'_, bgp_sim::RibSnapshot> =
-                    view_of(&baseline_value, "baseline rib")?;
-                out_seq(F::MoasConflicts, detect_moas_conflicts(&updates, &baseline))
-            }
-            "bgp.valley_violations" => {
-                let updates: ValueView<'_, Vec<BgpUpdate>> =
-                    view(function, "updates", need(args, function, "updates")?)?;
-                // Reference topology: the scenario's quiet start, whose
-                // adjacency set is a superset of every later instant's.
-                let graph =
-                    bgp_sim::AsGraph::at_time(&self.scenario, self.scenario.horizon.start);
-                out_seq(F::ValleyViolations, detect_valley_violations(&updates, &graph))
-            }
-            "bgp.reachability_losses" => {
-                let updates: ValueView<'_, Vec<BgpUpdate>> =
-                    view(function, "updates", need(args, function, "updates")?)?;
-                let rows: Vec<serde_json::Value> = bgp_sim::reachability_losses(&updates)
-                    .into_iter()
-                    .map(|(peer, prefix, t)| {
-                        serde_json::json!({
-                            "peer": peer.0,
-                            "prefix": prefix.to_string(),
-                            "withdrawn_at": t.0,
-                        })
-                    })
-                    .collect();
-                Ok(Value::new(F::Table, serde_json::Value::Array(rows)))
-            }
-
-            // ----------------------------------------------- traceroute ----
-            "traceroute.campaign" => {
-                let src = parse_region(function, "src_region", need(args, function, "src_region")?)?;
-                let dst = parse_region(function, "dst_region", need(args, function, "dst_region")?)?;
-                let w: WindowArg = de(function, "window", need(args, function, "window")?)?;
-                let key = format!("campaign:{src:?}:{dst:?}:{}:{}", w.start, w.end);
-                self.cached(&self.artifacts, &key, || {
-                    let campaign = run_campaign(&self.scenario, src, dst, w.to_window());
-                    Ok(Value::native(F::TracerouteCampaign, campaign, false))
-                })
-            }
-            "traceroute.rtt_series" => {
-                let campaign: ValueView<'_, CampaignData> =
-                    view(function, "campaign", need(args, function, "campaign")?)?;
-                out(F::RttSeries, analysis::rtt_series(&campaign, 6 * 3600))
-            }
-            "traceroute.detect_anomaly" => {
-                let campaign: ValueView<'_, CampaignData> =
-                    view(function, "campaign", need(args, function, "campaign")?)?;
-                out(F::AnomalyReport, analysis::detect_anomaly(&campaign))
-            }
-
-            // ---------------------------------------------------- util ----
-            "util.cable_failure_event" => {
-                let cable: CableRefData = de(function, "cable", need(args, function, "cable")?)?;
-                out(
-                    F::FailureEventSpec,
-                    FailureEvent::CableFailure { cable: CableId(cable.id) },
-                )
-            }
-            "util.compile_disasters" => {
-                #[derive(serde::Deserialize)]
-                struct Kind {
-                    kind: String,
-                }
-                let kinds: Vec<Kind> =
-                    de(function, "disasters", need(args, function, "disasters")?)?;
-                let p: f64 = de(
-                    function,
-                    "failure_probability",
-                    need(args, function, "failure_probability")?,
-                )?;
-                let kinds: Vec<String> = kinds.into_iter().map(|k| k.kind).collect();
-                let specs = disasters::compile(&kinds, p);
-                if specs.is_empty() {
-                    return Err(ToolError::Failed {
-                        function: function.clone(),
-                        message: format!("no hazard zones match kinds {kinds:?}"),
-                        transient: false,
-                    });
-                }
-                let event = FailureEvent::Compound(
-                    specs.into_iter().map(FailureEvent::Disaster).collect(),
-                );
-                out(F::FailureEventSpec, event)
-            }
-            "util.combine_impact_tables" => {
-                let a: ValueView<'_, CountryTableData> =
-                    view(function, "a", need(args, function, "a")?)?;
-                let b: ValueView<'_, CountryTableData> =
-                    view(function, "b", need(args, function, "b")?)?;
-                out(F::CountryImpactTable, combine_tables(&a, &b))
-            }
-            "util.corridor_failure_event" => {
-                let src = parse_region(function, "src_region", need(args, function, "src_region")?)?;
-                let dst = parse_region(function, "dst_region", need(args, function, "dst_region")?)?;
-                let cables = corridor_cables(world, src, dst, 3);
-                if cables.is_empty() {
-                    return Err(ToolError::Failed {
-                        function: function.clone(),
-                        message: format!("no cable systems connect {src} and {dst}"),
-                        transient: false,
-                    });
-                }
-                let event = FailureEvent::Compound(
-                    cables
-                        .into_iter()
-                        .map(|cable| FailureEvent::CableFailure { cable })
-                        .collect(),
-                );
-                out(F::FailureEventSpec, event)
-            }
-            "util.score_suspect_cables" => {
-                let anomaly: ValueView<'_, AnomalyData> =
-                    view(function, "anomaly", need(args, function, "anomaly")?)?;
-                let deps: ValueView<'_, DependencyTable> =
-                    view(function, "deps", need(args, function, "deps")?)?;
-                let mut cable_links: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-                let mut names: BTreeMap<u32, String> = BTreeMap::new();
-                for cable in deps.cables() {
-                    let entry = deps.for_cable(cable);
-                    cable_links
-                        .insert(cable.0, entry.links.iter().map(|l| l.0).collect());
-                    names.insert(cable.0, world.cable(cable).name.clone());
-                }
-                out(
-                    F::SuspectRanking,
-                    analysis::score_suspects(&anomaly, &cable_links, &names),
-                )
-            }
-            "util.correlate_evidence" => {
-                let bursts: ValueView<'_, Vec<bgp_sim::UpdateBurst>> =
-                    view(function, "bursts", need(args, function, "bursts")?)?;
-                let anomaly: ValueView<'_, AnomalyData> =
-                    view(function, "anomaly", need(args, function, "anomaly")?)?;
-                let times: Vec<i64> = bursts.iter().map(|b| b.window.start.0).collect();
-                out(
-                    F::CorrelationReport,
-                    analysis::correlate(&times, bursts.len(), &anomaly),
-                )
-            }
-            "util.synthesize_verdict" => {
-                let suspects: ValueView<'_, SuspectData> =
-                    view(function, "suspects", need(args, function, "suspects")?)?;
-                let correlation: ValueView<'_, CorrelationData> =
-                    view(function, "correlation", need(args, function, "correlation")?)?;
-                let anomaly: ValueView<'_, AnomalyData> =
-                    view(function, "anomaly", need(args, function, "anomaly")?)?;
-                out(
-                    F::ForensicVerdict,
-                    analysis::synthesize_verdict(&suspects, &correlation, &anomaly),
-                )
-            }
-            "util.attribute_control_plane" => {
-                let moas: ValueView<'_, Vec<MoasConflict>> =
-                    view(function, "moas", need(args, function, "moas")?)?;
-                let valleys: ValueView<'_, Vec<ValleyViolation>> =
-                    view(function, "valleys", need(args, function, "valleys")?)?;
-                let legit: BTreeMap<String, u32> = world
-                    .prefixes
-                    .iter()
-                    .map(|p| (p.net.to_string(), p.origin.0))
-                    .collect();
-                out(
-                    F::ControlPlaneReport,
-                    analysis::attribute_control_plane(&moas, &valleys, &legit),
-                )
-            }
-            "xaminer.control_plane_impact" => {
-                let report: ValueView<'_, ControlPlaneReportData> =
-                    view(function, "report", need(args, function, "report")?)?;
-                out(F::CountryImpactTable, control_plane_impact_table(world, &report))
-            }
-            "util.build_timeline" => {
-                let cascade: ValueView<'_, xaminer_sim::CascadeTimeline> =
-                    view(function, "cascade", need(args, function, "cascade")?)?;
-                let bursts: ValueView<'_, Vec<bgp_sim::UpdateBurst>> =
-                    view(function, "bursts", need(args, function, "bursts")?)?;
-                let anomaly: ValueView<'_, AnomalyData> =
-                    view(function, "anomaly", need(args, function, "anomaly")?)?;
-                // Anchor cascade offsets at the first observed event (or the
-                // horizon start for pure what-if analyses).
-                let anchor = self
-                    .scenario
-                    .timeline()
-                    .first()
-                    .map(|(t, _)| *t)
-                    .unwrap_or(self.scenario.horizon.start);
-                let mut cascade_events: Vec<(i64, String, String)> = Vec::new();
-                for round in &cascade.rounds {
-                    let t = (anchor + round.at_offset).0;
-                    if !round.newly_failed_links.is_empty() {
-                        cascade_events.push((
-                            t,
-                            if round.round == 0 { "cable".into() } else { "ip".into() },
-                            format!(
-                                "round {}: {} link(s) failed",
-                                round.round,
-                                round.newly_failed_links.len()
-                            ),
-                        ));
-                    }
-                    if !round.newly_degraded_ases.is_empty() {
-                        cascade_events.push((
-                            t,
-                            "as".into(),
-                            format!(
-                                "round {}: {} AS(es) degraded",
-                                round.round,
-                                round.newly_degraded_ases.len()
-                            ),
-                        ));
-                    }
-                }
-                let burst_times: Vec<i64> = bursts.iter().map(|b| b.window.start.0).collect();
-                out(
-                    F::UnifiedTimeline,
-                    analysis::build_timeline(&cascade_events, &burst_times, &anomaly),
-                )
-            }
-
-            // ------------------------------------------------------ qa ----
-            "qa.verify_output" => {
-                let value = need(args, function, "value")?;
-                let mut checks = vec!["non-null".to_string()];
-                let mut notes = Vec::new();
-                // Native artifacts are never null; only JSON payloads need
-                // the projection inspected.
-                let mut passed = value.is_native() || !value.json().is_null();
-                if value.is_empty_payload() {
-                    passed = false;
-                    notes.push("result payload is empty".to_string());
-                } else {
-                    checks.push("non-empty".to_string());
-                }
-                checks.push(format!("declared format {}", value.format));
-                out(F::QaReport, QaData { passed, checks, notes })
-            }
-
-            _ => Err(ToolError::Unbound(function.clone())),
-        }
+        let tool = catalog::tool(function).ok_or_else(|| ToolError::Unbound(function.clone()))?;
+        (tool.run)(self, &Args::decode(tool, function, args)?)
     }
 }
 
 /// Combines two country tables: counts add, scores compose as independent
 /// events (`1 − (1−a)(1−b)`), rows re-sort by score.
-fn combine_tables(a: &CountryTableData, b: &CountryTableData) -> CountryTableData {
+pub(crate) fn combine_tables(a: &CountryTableData, b: &CountryTableData) -> CountryTableData {
     let mut by_country: BTreeMap<String, CountryRow> = BTreeMap::new();
     for row in a.rows.iter().chain(&b.rows) {
         match by_country.get_mut(&row.country) {
@@ -705,7 +401,7 @@ fn combine_tables(a: &CountryTableData, b: &CountryTableData) -> CountryTableDat
 /// incident: per country, how many of its registered ASes are
 /// misdirected (hijack capture cone) or path-shifted (leak), scored by
 /// that fraction. Physical columns (IPs/links) are zero — nothing fails.
-fn control_plane_impact_table(
+pub(crate) fn control_plane_impact_table(
     world: &world::World,
     report: &ControlPlaneReportData,
 ) -> CountryTableData {
@@ -759,7 +455,7 @@ fn control_plane_impact_table(
 }
 
 /// Converts an impact report into the country table schema.
-fn country_table(report: &xaminer_sim::ImpactReport) -> CountryTableData {
+pub(crate) fn country_table(report: &xaminer_sim::ImpactReport) -> CountryTableData {
     CountryTableData {
         rows: report
             .per_country
@@ -777,7 +473,7 @@ fn country_table(report: &xaminer_sim::ImpactReport) -> CountryTableData {
 }
 
 /// The main cable systems connecting two regions, by dependent-link count.
-fn corridor_cables(
+pub(crate) fn corridor_cables(
     world: &world::World,
     src: Region,
     dst: Region,
@@ -802,7 +498,7 @@ fn corridor_cables(
 /// destinations in `dst`, two Paris flows per pair, sampled every 8 hours.
 /// The flow sweep broadens link coverage (MDA-style), which the forensic
 /// suspect scoring depends on.
-fn run_campaign(
+pub(crate) fn run_campaign(
     scenario: &Scenario,
     src: Region,
     dst: Region,
@@ -869,6 +565,7 @@ fn run_campaign(
 mod tests {
     use super::*;
     use crate::scenarios;
+    use xaminer_sim::FailureEvent;
 
     fn tv(format: F, v: serde_json::Value) -> Value {
         Value::new(format, v)
