@@ -290,7 +290,7 @@ pub fn decompose(req: &DecomposeRequest) -> Decomposition {
             let lookback = entities.lookback_days.unwrap_or(3);
             // Analysis window: enough history before the anomaly onset to
             // establish a statistical baseline.
-            let analysis_days = (lookback * 4).max(10).min(horizon_days);
+            let analysis_days = lookback.saturating_mul(4).max(10).min(horizon_days);
             args.insert(
                 "window".into(),
                 ResolvedArg {
@@ -735,23 +735,32 @@ mod tests {
 
     #[test]
     fn cs4_decomposition_builds_baseline_window() {
-        let req = DecomposeRequest {
-            query: "A sudden increase in latency was observed from European probes to Asian \
-                    destinations starting three days ago. Determine if a submarine cable \
-                    failure caused this, and if so, identify the specific cable."
-                .into(),
-            context: context(),
-            registry: mini_registry(),
-        };
-        let d = decompose(&req);
-        assert_eq!(d.intent, Intent::ForensicRootCause);
-        let w = &d.provided_args["window"].value;
-        let start = w["start"].as_i64().unwrap();
-        let end = w["end"].as_i64().unwrap();
-        assert_eq!(end, 10 * 86_400);
-        // At least 4x the lookback for a baseline, clamped to horizon.
-        assert!(end - start >= 10 * 86_400 - 1, "window {w:?}");
-        assert_eq!(d.sub_problems.len(), 4);
+        // Absurd lookbacks saturate to the whole horizon instead of
+        // overflowing.
+        for when in [
+            "three days ago",
+            "over the last 2000000000000000000 weeks",
+            "3000000000000000000 days ago",
+        ] {
+            let req = DecomposeRequest {
+                query: format!(
+                    "A sudden increase in latency was observed from European probes to Asian \
+                     destinations starting {when}. Determine if a submarine cable failure \
+                     caused this, and if so, identify the specific cable."
+                ),
+                context: context(),
+                registry: mini_registry(),
+            };
+            let d = decompose(&req);
+            assert_eq!(d.intent, Intent::ForensicRootCause);
+            let w = &d.provided_args["window"].value;
+            let start = w["start"].as_i64().unwrap();
+            let end = w["end"].as_i64().unwrap();
+            assert_eq!(end, 10 * 86_400);
+            // At least 4x the lookback for a baseline, clamped to horizon.
+            assert!(end - start >= 10 * 86_400 - 1, "window {w:?}");
+            assert_eq!(d.sub_problems.len(), 4);
+        }
     }
 
     #[test]

@@ -126,7 +126,7 @@ pub fn extract_lookback_days(q: &str) -> Option<i64> {
         if let Some(scale) = unit_scale {
             if i > 0 {
                 if let Some(n) = word_to_number(words[i - 1]) {
-                    return Some(n * scale);
+                    return Some(n.saturating_mul(scale));
                 }
             }
         }
@@ -257,6 +257,15 @@ mod tests {
         assert_eq!(extract_lookback_days("over the last 2 weeks"), Some(14));
         assert_eq!(extract_lookback_days("past ten days"), Some(10));
         assert_eq!(extract_lookback_days("recently"), None);
+        // Absurd lookbacks saturate instead of overflowing.
+        assert_eq!(
+            extract_lookback_days("over the last 2000000000000000000 weeks"),
+            Some(i64::MAX)
+        );
+        assert_eq!(
+            extract_lookback_days("starting 3000000000000000000 days ago"),
+            Some(3_000_000_000_000_000_000)
+        );
     }
 
     #[test]
