@@ -258,7 +258,7 @@ impl<'a> Args<'a> {
     /// Binds `named` to `tool`'s declared inputs, checking presence in
     /// declared order; extra arguments are ignored.
     pub(crate) fn decode(
-        tool: &'static Tool,
+        tool: &Tool,
         function: &'a FunctionId,
         named: &'a BTreeMap<String, Value>,
     ) -> Result<Args<'a>, ToolError> {
@@ -267,7 +267,7 @@ impl<'a> Args<'a> {
             .iter()
             .map(|&(name, _)| match named.get(name) {
                 Some(value) => Ok((name, value)),
-                None => Err(bad(function, format!("missing argument {name}"))),
+                None => Err(bad_argument(function, format!("missing argument {name}"))),
             })
             .collect::<Result<_, _>>()?;
         Ok(Args { function, output: tool.output, inputs })
@@ -285,7 +285,7 @@ impl<'a> Args<'a> {
         i: usize,
     ) -> Result<ValueView<'a, T>, ToolError> {
         let (name, value) = self.slot(i)?;
-        value.view().map_err(|e| bad(self.function, format!("argument {name}: {e}")))
+        value.view().map_err(|e| bad_argument(self.function, format!("argument {name}: {e}")))
     }
 
     /// Parses slot `i` into an owned `T` via the JSON projection (for
@@ -293,13 +293,14 @@ impl<'a> Args<'a> {
     pub(crate) fn de<T: serde::de::DeserializeOwned>(&self, i: usize) -> Result<T, ToolError> {
         let (name, value) = self.slot(i)?;
         T::deserialize_json(value.json())
-            .map_err(|e| bad(self.function, format!("argument {name}: {e}")))
+            .map_err(|e| bad_argument(self.function, format!("argument {name}: {e}")))
     }
 
     /// Parses slot `i` as a region name.
     pub(crate) fn region(&self, i: usize) -> Result<Region, ToolError> {
         let s: String = self.de(i)?;
-        Region::parse(&s).ok_or_else(|| bad(self.function, format!("unknown region {s:?}")))
+        Region::parse(&s)
+            .ok_or_else(|| bad_argument(self.function, format!("unknown region {s:?}")))
     }
 
     /// Wraps a substrate result as a native (non-empty) artifact of the
@@ -327,11 +328,11 @@ impl<'a> Args<'a> {
 
     fn slot(&self, i: usize) -> Result<(&'static str, &'a Value), ToolError> {
         let slot = self.inputs.get(i).copied();
-        slot.ok_or_else(|| bad(self.function, format!("input {i} is not declared")))
+        slot.ok_or_else(|| bad_argument(self.function, format!("input {i} is not declared")))
     }
 }
 
-fn bad(function: &FunctionId, message: String) -> ToolError {
+fn bad_argument(function: &FunctionId, message: String) -> ToolError {
     ToolError::BadArgument { function: function.clone(), message }
 }
 
