@@ -25,6 +25,8 @@
 //! * `forge/register_family_fleet` — every family's fleet registered vs cold generation;
 //! * `bgp/derive_updates_hijack` — the update stream of a prefix-hijack scenario;
 //! * `toolkit/mapping_shared_world` — mapping served from the world-keyed store vs recomputed;
+//! * `toolkit/quiet_rib_shared_world` — a cold hijack scenario's update stream and MOAS
+//!   detection over a warm world vs a fresh `derive_updates` plus baseline capture;
 //! * `engine/degraded_session` — CS5 with a persistent detector outage vs healthy;
 //! * `forge/campaign_10k` — a ~1k scenario-query campaign, max workers vs 1;
 //! * `conformance/scan_workspace` — one conformance scan of the workspace;
@@ -322,6 +324,39 @@ fn main() {
             || (0..mapping_scenarios).map(|_| map_world().mappings.len()).sum::<usize>(),
         ),
         json!({ "scenarios": mapping_scenarios }),
+    ));
+
+    // A cold scenario (fresh scenario store) over a world whose quiet
+    // horizon-start RIB is already built, against the store-free oracle.
+    let forensics = |rt: &toolkit::StandardRuntime| {
+        let window = json!({ "start": 0, "end": 10 * 86_400 });
+        let args = std::collections::BTreeMap::from([(
+            "window".to_string(),
+            workflow::Value::new(registry::DataFormat::TimeWindow, window),
+        )]);
+        let updates = rt
+            .invoke(&registry::FunctionId::from("bgp.updates"), &args)
+            .expect("updates serve");
+        let args = std::collections::BTreeMap::from([("updates".to_string(), updates)]);
+        rt.invoke(&registry::FunctionId::from("bgp.detect_moas"), &args)
+            .expect("moas serves")
+            .is_empty_payload()
+    };
+    let collectors = bgp_sim::BgpSimulator::new(&hijack_scenario).collectors().to_vec();
+    benchmarks.push(two_arm(
+        "toolkit/quiet_rib_shared_world",
+        "fresh derive_updates plus a fresh baseline capture (no artifact store)",
+        paired(
+            5,
+            || forensics(&toolkit::StandardRuntime::new(hijack_scenario.clone())),
+            || {
+                let (scenario, start) = (&hijack_scenario, hijack_scenario.horizon.start);
+                let updates = bgp_sim::updates::derive_updates(scenario, &collectors);
+                let baseline = bgp_sim::RibSnapshot::capture(scenario, &collectors, start);
+                bgp_sim::detect_moas_conflicts(&updates, &baseline).is_empty()
+            },
+        ),
+        json!({ "collectors": collectors.len() }),
     ));
 
     // The degraded run skips the poisoned attribution and impact steps,

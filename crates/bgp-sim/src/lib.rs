@@ -31,10 +31,10 @@ pub use rib::{RibEntry, RibSnapshot};
 pub use routing::{PolicyOverrides, Route, RouteKind, RoutingTable};
 pub use updates::{BgpUpdate, UpdateKind};
 
-use net_model::SimTime;
 use world::Scenario;
 
-/// Facade over the substrate: collectors, RIBs, updates for one scenario.
+/// The route-collector deployment for one scenario: which ASes feed the
+/// collector. RIBs and update streams are captured over these peers.
 #[derive(Debug)]
 pub struct BgpSimulator<'a> {
     scenario: &'a Scenario,
@@ -65,26 +65,6 @@ impl<'a> BgpSimulator<'a> {
     pub fn collectors(&self) -> &[net_model::Asn] {
         &self.collectors
     }
-
-    /// AS graph as of `t` (adjacencies with all links down are removed).
-    pub fn graph_at(&self, t: SimTime) -> AsGraph {
-        AsGraph::at_time(self.scenario, t)
-    }
-
-    /// Full routing state as of `t`.
-    pub fn routing_at(&self, t: SimTime) -> RoutingTable {
-        RoutingTable::compute(&self.graph_at(t), &self.scenario.world)
-    }
-
-    /// RIB snapshot (all collector peers) as of `t`.
-    pub fn rib_at(&self, t: SimTime) -> RibSnapshot {
-        RibSnapshot::capture(self.scenario, &self.collectors, t)
-    }
-
-    /// Update stream across the whole horizon.
-    pub fn updates(&self) -> Vec<BgpUpdate> {
-        updates::derive_updates(self.scenario, &self.collectors)
-    }
 }
 
 #[cfg(test)]
@@ -102,13 +82,14 @@ mod tests {
             Scenario::quiet(world, 10).with_event(EventKind::CableCut { cable }, cut_at);
         let sim = BgpSimulator::new(&scenario);
 
-        let before = sim.rib_at(cut_at - SimDuration::hours(1));
-        let after = sim.rib_at(cut_at + SimDuration::hours(1));
+        let rib_at = |t| RibSnapshot::capture(&scenario, sim.collectors(), t);
+        let before = rib_at(cut_at - SimDuration::hours(1));
+        let after = rib_at(cut_at + SimDuration::hours(1));
         assert!(!before.entries.is_empty());
         // The cut must change at least one best path somewhere.
         assert_ne!(before.entries, after.entries);
 
-        let updates = sim.updates();
+        let updates = updates::derive_updates(&scenario, sim.collectors());
         assert!(!updates.is_empty(), "a cable cut must generate updates");
         assert!(updates.iter().all(|u| u.time >= cut_at));
     }

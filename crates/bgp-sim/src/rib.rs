@@ -11,6 +11,13 @@
 //! leaks plumb into the routing computation itself as
 //! [`crate::routing::PolicyOverrides`], so leaked (valley-violating,
 //! inflated) paths appear verbatim in the snapshot entries.
+//!
+//! The capture at a scenario's horizon start is the MOAS detector's
+//! baseline and the first state of [`crate::updates::derive_updates_from`]'s
+//! diff chain: callers capture it once and hand the same snapshot to both.
+//! When nothing is down and no incident is active at that instant, the
+//! snapshot depends only on the world and the start time, so the serving
+//! runtime shares one capture across every scenario over that world.
 
 use std::collections::BTreeMap;
 
@@ -58,24 +65,10 @@ impl RibSnapshot {
         Self::capture_with(&scenario.world, &graph, peers, t, &scenario.control_plane_at(t))
     }
 
-    /// Captures the snapshot for a pre-built AS graph with a quiet
-    /// control plane. Routing is a pure function of the topology, so
-    /// callers diffing many instants (e.g. `derive_updates`) can compare
-    /// graphs first and skip captures entirely when connectivity did not
-    /// change.
-    pub fn capture_from_graph(
-        world: &World,
-        graph: &AsGraph,
-        peers: &[Asn],
-        t: SimTime,
-    ) -> RibSnapshot {
-        Self::capture_with(world, graph, peers, t, &ControlPlaneState::default())
-    }
-
-    /// [`RibSnapshot::capture_from_graph`] with an explicit control-plane
-    /// state. Routing (and therefore the snapshot) is a pure function of
-    /// `(topology, control-plane state)` — `derive_updates` memoizes on
-    /// exactly that pair.
+    /// [`RibSnapshot::capture`] for a pre-built AS graph and an explicit
+    /// control-plane state. Routing (and therefore the snapshot) is a pure
+    /// function of `(topology, control-plane state)` — `derive_updates`
+    /// memoizes on exactly that pair.
     pub fn capture_with(
         world: &World,
         graph: &AsGraph,
@@ -131,11 +124,6 @@ impl RibSnapshot {
         }
         entries.sort_by_key(|a| (a.peer, a.prefix));
         RibSnapshot { at: t, entries }
-    }
-
-    /// Index by (peer, prefix) for diffing.
-    pub fn index(&self) -> BTreeMap<(Asn, Ipv4Net), &RibEntry> {
-        self.entries.iter().map(|e| ((e.peer, e.prefix), e)).collect()
     }
 
     /// Fraction of (peer, prefix) pairs with a route, relative to the full
@@ -238,12 +226,19 @@ mod tests {
         let peers: Vec<Asn> = s.world.ases.iter().map(|a| a.asn).take(30).collect();
         let before = RibSnapshot::capture(&s, &peers, cut - SimDuration::hours(1));
         let after = RibSnapshot::capture(&s, &peers, cut + SimDuration::hours(1));
-        let bi = before.index();
-        let changed = after
-            .entries
-            .iter()
-            .filter(|e| bi.get(&(e.peer, e.prefix)).is_none_or(|b| b.as_path != e.as_path))
-            .count();
+        // Merge over the two (peer, prefix)-sorted entry lists: count the
+        // pairs whose route appeared or changed.
+        let (b, mut i) = (&before.entries, 0);
+        let mut changed = 0;
+        for e in &after.entries {
+            while i < b.len() && (b[i].peer, b[i].prefix) < (e.peer, e.prefix) {
+                i += 1;
+            }
+            let same = b.get(i).is_some_and(|x| (x.peer, x.prefix) == (e.peer, e.prefix));
+            if !same || b[i].as_path != e.as_path {
+                changed += 1;
+            }
+        }
         assert!(changed > 0, "a major cable cut must move some best paths");
     }
 }

@@ -12,6 +12,14 @@
 //!
 //! Each update's timestamp is the event time plus a per-(peer, prefix)
 //! convergence jitter of up to two minutes, derived from `stable_hash`.
+//!
+//! The diff chain starts from the RIB at the horizon start.
+//! [`derive_updates_from`] takes that snapshot from the caller, so one
+//! capture serves both the stream and the MOAS detector's baseline (and,
+//! in the serving runtime, every scenario whose world starts quiet).
+//! [`derive_updates`] captures it afresh and stays the oracle.
+
+use std::borrow::Cow;
 
 use net_model::{Asn, Ipv4Net, SimTime};
 use serde::{Deserialize, Serialize};
@@ -45,15 +53,11 @@ impl BgpUpdate {
     }
 }
 
-/// Derives the full update stream for a scenario from the given collector
-/// peers, ordered by (time, peer, prefix).
-///
-/// Routing state is diffed at every event *boundary* inside the horizon —
-/// starts and (for bounded events) ends — so a repaired cable or a
-/// withdrawn route leak produces its reconvergence churn, not just its
-/// onset.
-pub fn derive_updates(scenario: &Scenario, peers: &[Asn]) -> Vec<BgpUpdate> {
-    let mut updates = Vec::new();
+/// The instants at which [`derive_updates_from`] diffs routing state:
+/// every event *boundary* inside the horizon — starts and (for bounded
+/// events) ends — ascending and deduplicated. Empty means the stream is
+/// empty and no capture is needed.
+pub fn event_boundaries(scenario: &Scenario) -> Vec<SimTime> {
     let mut boundaries: Vec<SimTime> = scenario
         .events
         .iter()
@@ -63,16 +67,43 @@ pub fn derive_updates(scenario: &Scenario, peers: &[Asn]) -> Vec<BgpUpdate> {
         .collect();
     boundaries.sort();
     boundaries.dedup();
+    boundaries
+}
+
+/// Derives the full update stream for a scenario from the given collector
+/// peers, ordered by (time, peer, prefix): [`derive_updates_from`] applied
+/// to a fresh capture at the horizon start. This is the oracle the
+/// serving runtime's shared-baseline path is pinned against.
+pub fn derive_updates(scenario: &Scenario, peers: &[Asn]) -> Vec<BgpUpdate> {
+    if event_boundaries(scenario).is_empty() {
+        return Vec::new();
+    }
+    let peers = canonical_peers(peers);
+    let start = RibSnapshot::capture(scenario, &peers, scenario.horizon.start);
+    derive_updates_from(scenario, &peers, &start)
+}
+
+/// [`derive_updates`] with the horizon-start snapshot supplied by the
+/// caller, so one capture can serve every consumer of that state (the
+/// MOAS baseline, and every scenario sharing a quiet world start).
+/// `start` must equal `RibSnapshot::capture(scenario, peers,
+/// scenario.horizon.start)` over the same peer set.
+///
+/// Routing state is diffed at every [`event_boundaries`] instant, so a
+/// repaired cable or a withdrawn route leak produces its reconvergence
+/// churn, not just its onset.
+pub fn derive_updates_from(
+    scenario: &Scenario,
+    peers: &[Asn],
+    start: &RibSnapshot,
+) -> Vec<BgpUpdate> {
+    debug_assert_eq!(start.at, scenario.horizon.start, "start snapshot off the horizon start");
+    let mut updates = Vec::new();
+    let boundaries = event_boundaries(scenario);
     if boundaries.is_empty() {
         return updates;
     }
-
-    // A duplicated peer would duplicate (peer, prefix) entries in the
-    // snapshots, and the merge-join below would emit its updates twice
-    // (the old map-indexed diff deduplicated implicitly).
-    let mut peers: Vec<Asn> = peers.to_vec();
-    peers.sort();
-    peers.dedup();
+    let peers = canonical_peers(peers);
     let peers = &peers[..];
 
     // RIB snapshots are memoized across events: a capture is one full
@@ -87,10 +118,10 @@ pub fn derive_updates(scenario: &Scenario, peers: &[Asn]) -> Vec<BgpUpdate> {
     // `same_topology` check alone is not a sound skip condition — the
     // active hijack/leak set must match, too.
     let world = &scenario.world;
-    let start = scenario.horizon.start;
-    let mut prev_graph = crate::graph::AsGraph::at_time(scenario, start);
-    let mut prev_control = scenario.control_plane_at(start);
-    let mut prev = RibSnapshot::capture_with(world, &prev_graph, peers, start, &prev_control);
+    let t0 = scenario.horizon.start;
+    let mut prev_graph = crate::graph::AsGraph::at_time(scenario, t0);
+    let mut prev_control = scenario.control_plane_at(t0);
+    let mut prev = Cow::Borrowed(start);
     for at in boundaries {
         let after_t = SimTime(at.0 + 1);
         let graph = crate::graph::AsGraph::at_time(scenario, after_t);
@@ -100,7 +131,7 @@ pub fn derive_updates(scenario: &Scenario, peers: &[Asn]) -> Vec<BgpUpdate> {
         }
         let next = RibSnapshot::capture_with(world, &graph, peers, after_t, &control);
         diff_into(scenario, &prev, &next, at, &mut updates);
-        prev = next;
+        prev = Cow::Owned(next);
         prev_graph = graph;
         prev_control = control;
     }
@@ -109,13 +140,24 @@ pub fn derive_updates(scenario: &Scenario, peers: &[Asn]) -> Vec<BgpUpdate> {
     updates
 }
 
+/// Peers sorted and deduplicated. A duplicated peer would duplicate
+/// (peer, prefix) entries in the snapshots, and the merge-join in
+/// `diff_into` would emit its updates twice.
+fn canonical_peers(peers: &[Asn]) -> Vec<Asn> {
+    let mut peers = peers.to_vec();
+    peers.sort();
+    peers.dedup();
+    peers
+}
+
 /// Diffs two snapshots by merge-joining their canonically sorted entry
 /// vectors — no per-diff `(peer, prefix)` index maps. Relies on
 /// [`RibSnapshot::capture`]'s invariant that entries are sorted by
 /// `(peer, prefix)` with no duplicates (peers are deduplicated by
-/// `derive_updates`). Updates are pushed unordered here; `derive_updates`
-/// sorts the full stream at the end (the `(time, peer, prefix)` key is
-/// collision-free, so output order is independent of emission order).
+/// `canonical_peers`). Updates are pushed unordered here;
+/// `derive_updates_from` sorts the full stream at the end (the
+/// `(time, peer, prefix)` key is collision-free, so output order is
+/// independent of emission order).
 fn diff_into(
     scenario: &Scenario,
     before: &RibSnapshot,
@@ -191,11 +233,6 @@ fn jittered(seed: u64, event: SimTime, peer: Asn, prefix: &Ipv4Net, stage: u64) 
     let h = stable_hash(&[seed, peer.0 as u64, prefix.network().0 as u64]);
     let base = (h % 90) as i64; // 0–89 s
     SimTime(event.0 + base + stage as i64 * 3 + 1)
-}
-
-/// Convenience: the updates within a half-open window.
-pub fn updates_in_window(updates: &[BgpUpdate], w: net_model::TimeWindow) -> Vec<&BgpUpdate> {
-    updates.iter().filter(|u| w.contains(u.time)).collect()
 }
 
 #[cfg(test)]
@@ -399,8 +436,8 @@ mod tests {
     fn window_filter_works() {
         let (_, cut, ups) = updates_for_cut();
         let w = TimeWindow::new(cut, SimTime(cut.0 + 600));
-        assert_eq!(updates_in_window(&ups, w).len(), ups.len());
-        let empty = TimeWindow::new(SimTime::EPOCH, cut);
-        assert!(updates_in_window(&ups, empty).is_empty());
+        assert!(ups.iter().all(|u| w.contains(u.time)));
+        let before = TimeWindow::new(SimTime::EPOCH, cut);
+        assert!(!ups.iter().any(|u| before.contains(u.time)));
     }
 }

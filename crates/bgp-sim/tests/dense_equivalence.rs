@@ -387,3 +387,78 @@ proptest! {
         }
     }
 }
+
+/// The default world, generated once for the timeline properties.
+fn default_world() -> std::sync::Arc<world::World> {
+    static WORLD: std::sync::OnceLock<std::sync::Arc<world::World>> = std::sync::OnceLock::new();
+    std::sync::Arc::clone(WORLD.get_or_init(|| generate(&WorldConfig::default()).into()))
+}
+
+/// An arbitrary event timeline on a 10-day horizon, as `(kind, pick,
+/// onset hour, length in hours)`; a length of 0 leaves the event open.
+/// Onsets reach two days before the horizon start, so some incidents are
+/// already active when the horizon opens, and past its end.
+fn arbitrary_timeline() -> impl Strategy<Value = Vec<(u8, u16, i64, i64)>> {
+    proptest::collection::vec((0u8..4, any::<u16>(), -48i64..264, 0i64..120), 0..4)
+}
+
+/// Realizes an [`arbitrary_timeline`] on the default world: cable cuts,
+/// prefix hijacks, route leaks by multi-homed ASes and congestion surges.
+fn timeline_scenario(timeline: &[(u8, u16, i64, i64)]) -> Scenario {
+    let world = default_world();
+    let mut scenario = Scenario::quiet(std::sync::Arc::clone(&world), 10);
+    let graph = AsGraph::at_time(&scenario, SimTime::EPOCH);
+    let homed = multi_homed(&scenario, &graph);
+    for &(kind, pick, at_hour, hours) in timeline {
+        let pick = pick as usize;
+        let kind = match kind {
+            0 => EventKind::CableCut { cable: world.cables[pick % world.cables.len()].id },
+            1 => {
+                let victim = world.prefixes[pick % world.prefixes.len()];
+                let origin = world.ases[(pick / 7 + 1) % world.ases.len()].asn;
+                EventKind::PrefixHijack { origin, victim_prefix: victim.net }
+            }
+            2 => EventKind::RouteLeak { leaker: homed[pick % homed.len()] },
+            _ => EventKind::CongestionSurge {
+                from: net_model::Region::Europe,
+                to: net_model::Region::Asia,
+                extra_ms: 30.0,
+            },
+        };
+        let at = SimTime::EPOCH + SimDuration::hours(at_hour);
+        let until = (hours > 0).then(|| at + SimDuration::hours(hours));
+        scenario.push_event(kind, at, until);
+    }
+    scenario
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A caller-supplied horizon-start snapshot derives the same stream as
+    /// the oracle's own capture, including when incidents are already
+    /// active as the horizon opens.
+    #[test]
+    fn updates_from_a_supplied_start_match_the_oracle(timeline in arbitrary_timeline()) {
+        let scenario = timeline_scenario(&timeline);
+        let peers: Vec<Asn> = scenario.world.ases.iter().take(8).map(|a| a.asn).collect();
+        let start = bgp_sim::RibSnapshot::capture(&scenario, &peers, scenario.horizon.start);
+        prop_assert_eq!(
+            bgp_sim::updates::derive_updates_from(&scenario, &peers, &start),
+            bgp_sim::updates::derive_updates(&scenario, &peers)
+        );
+    }
+}
+
+#[test]
+fn supplied_start_matches_with_a_cut_active_at_the_horizon_start() {
+    // The deterministic witness of the property above: a cut that began
+    // before the horizon and a bounded route leak inside it.
+    let scenario = timeline_scenario(&[(0, 3, -24, 0), (2, 0, 72, 48)]);
+    assert!(!scenario.links_down_at(scenario.horizon.start).is_empty());
+    let peers: Vec<Asn> = scenario.world.ases.iter().take(40).map(|a| a.asn).collect();
+    let start = bgp_sim::RibSnapshot::capture(&scenario, &peers, scenario.horizon.start);
+    let oracle = bgp_sim::updates::derive_updates(&scenario, &peers);
+    assert!(!oracle.is_empty(), "the leak churns");
+    assert_eq!(bgp_sim::updates::derive_updates_from(&scenario, &peers, &start), oracle);
+}

@@ -29,7 +29,7 @@ use crate::data::*;
 use crate::disasters;
 use crate::runtime::{
     combine_tables, control_plane_impact_table, corridor_cables, country_table, run_campaign,
-    view_of, Args, StandardRuntime, WindowArg,
+    view_of, Args, StandardRuntime,
 };
 
 /// One measurement function: its registry signature and its handler.
@@ -230,7 +230,7 @@ pub(crate) static TOOLS: &[Tool] = &[
         tags: &["bgp", "routing", "updates", "collector"],
         constraint: None,
         run: |rt, args| {
-            let window = args.de::<WindowArg>(0)?.to_window();
+            let window = args.window(0)?;
             let full_value = rt.updates_value()?;
             let full: ValueView<'_, Vec<BgpUpdate>> = view_of(&full_value, "bgp updates")?;
             args.out_seq(full.iter().filter(|u| window.contains(u.time)).cloned().collect())
@@ -246,10 +246,10 @@ pub(crate) static TOOLS: &[Tool] = &[
         tags: &["bgp", "rib", "snapshot"],
         constraint: None,
         run: |rt, args| {
-            let w: WindowArg = args.de(0)?;
+            let at = args.window(0)?.end;
             let sim = BgpSimulator::new(rt.scenario());
             let peers: Vec<net_model::Asn> = sim.collectors().iter().take(10).copied().collect();
-            args.out(bgp_sim::RibSnapshot::capture(rt.scenario(), &peers, w.to_window().end))
+            args.out(bgp_sim::RibSnapshot::capture(rt.scenario(), &peers, at))
         },
     },
     Tool {
@@ -263,7 +263,7 @@ pub(crate) static TOOLS: &[Tool] = &[
         constraint: None,
         run: |_, args| {
             let updates = args.view::<Vec<BgpUpdate>>(0)?;
-            let window = args.de::<WindowArg>(1)?.to_window();
+            let window = args.window(1)?;
             let hours = (window.duration().as_seconds() / 3600).clamp(24, 400) as usize;
             args.out_seq(detect_update_bursts(&updates, window, hours, 3.0))
         },
@@ -343,10 +343,10 @@ pub(crate) static TOOLS: &[Tool] = &[
         run: |rt, args| {
             let src = args.region(0)?;
             let dst = args.region(1)?;
-            let w: WindowArg = args.de(2)?;
-            let key = format!("campaign:{src:?}:{dst:?}:{}:{}", w.start, w.end);
+            let window = args.window(2)?;
+            let key = format!("campaign:{src:?}:{dst:?}:{}:{}", window.start.0, window.end.0);
             rt.cached(rt.artifacts(), &key, || {
-                args.out(run_campaign(rt.scenario(), src, dst, w.to_window()))
+                args.out(run_campaign(rt.scenario(), src, dst, window))
             })
         },
     },

@@ -86,7 +86,8 @@ mod tests {
             "impact".to_string(),
             Value::new(registry::DataFormat::FailureImpact, serde_json::json!({})),
         )]);
-        let args = Args::decode(tool, &function, &named).unwrap();
+        let horizon = scenarios::cs1_scenario().horizon;
+        let args = Args::decode(tool, &function, &named, horizon).unwrap();
         assert!(args.value(0).is_ok());
         for err in [args.value(1).err(), args.de::<u32>(1).err(), args.region(7).err()] {
             match err {

@@ -14,11 +14,13 @@
 //! through [`Value::view`]: zero-copy when the producing step emitted the
 //! native type, a JSON deserialization otherwise.
 //!
-//! Expensive artifacts (cross-layer mapping, BGP update stream, probe
-//! campaigns) live in an [`ArtifactStore`] keyed per scenario — shareable
-//! across runtimes, sessions and whole engine epochs, exactly as a real
+//! Expensive artifacts live in [`ArtifactStore`]s — shareable across
+//! runtimes, sessions and whole engine epochs, exactly as a real
 //! deployment caches collector downloads and mapping runs once per
-//! dataset, not once per query.
+//! dataset, not once per query. Update streams and probe campaigns are
+//! per scenario. The mapping run, the default dependency table and a
+//! quiet horizon-start RIB depend only on the world, so they live in the
+//! world-keyed store ([`world_artifacts`]), built on first use.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -29,7 +31,7 @@ use registry::{DataFormat as F, FunctionId};
 use workflow::{ToolError, ToolRuntime, Value, ValueView};
 use world::{Scenario, World};
 
-use bgp_sim::BgpSimulator;
+use bgp_sim::{BgpSimulator, RibSnapshot};
 use nautilus_sim::{DependencyTable, MappingConfig, MappingTable, NautilusMapper};
 use traceroute_sim::TracerouteSimulator;
 
@@ -105,7 +107,8 @@ impl ArtifactStore {
 /// scenario-forge cache) still recomputed the mapping once per scenario
 /// key. Keying them by world content identity finishes the job: any
 /// number of scenarios, sessions and engines over one world share one
-/// mapping run per process.
+/// mapping run per process. The collector RIB at a quiet horizon start
+/// is world-level too, under a key that names the start time.
 pub fn world_artifacts(world: &World) -> Arc<ArtifactStore> {
     // Keyed by the full config (bit-exact `Ord`, the same identity the
     // scenario-forge `WorldCache` uses), not the u64 content hash — a
@@ -119,11 +122,12 @@ pub fn world_artifacts(world: &World) -> Arc<ArtifactStore> {
 /// The standard runtime over one scenario.
 pub struct StandardRuntime {
     scenario: Arc<Scenario>,
-    /// Scenario-level artifacts (update streams, campaigns): shared by
-    /// every session of this scenario.
+    /// Scenario-level artifacts (update streams, campaigns, a disturbed
+    /// start's baseline RIB): shared by every session of this scenario.
     artifacts: Arc<ArtifactStore>,
-    /// World-level artifacts (mapping run, default deps): shared by every
-    /// scenario over this world — see [`world_artifacts`].
+    /// World-level artifacts (mapping run, default deps, quiet start
+    /// RIB): shared by every scenario over this world — see
+    /// [`world_artifacts`].
     world_artifacts: Arc<ArtifactStore>,
     /// Optional telemetry sink: cached-artifact probes become
     /// `artifact_cache.hit` / `artifact_cache.miss` counters. Counters
@@ -219,27 +223,50 @@ impl StandardRuntime {
 
     pub(crate) fn updates_value(&self) -> Result<Value, ToolError> {
         self.cached(&self.artifacts, "bgp.updates_full", || {
-            let sim = BgpSimulator::new(&self.scenario);
-            let updates = sim.updates();
+            let scenario = &self.scenario;
+            let updates = if bgp_sim::updates::event_boundaries(scenario).is_empty() {
+                Vec::new()
+            } else {
+                // The diff chain starts from the same snapshot the MOAS
+                // detector reads as its baseline.
+                let baseline = self.baseline_rib_value()?;
+                let start: ValueView<'_, RibSnapshot> = view_of(&baseline, "baseline rib")?;
+                let sim = BgpSimulator::new(scenario);
+                bgp_sim::updates::derive_updates_from(scenario, sim.collectors(), &start)
+            };
             let empty = updates.is_empty();
             Ok(Value::native(F::BgpUpdates, updates, empty))
         })
     }
 
+    /// The collector RIB at the horizon start: the first state of the
+    /// update stream's diff chain and the MOAS detector's baseline. When
+    /// nothing is down and no incident is active at that instant, the
+    /// capture is a pure function of the world and the start time, so
+    /// every scenario over the world shares one, keyed by that time in the
+    /// world store. Otherwise the capture is per-scenario.
     pub(crate) fn baseline_rib_value(&self) -> Result<Value, ToolError> {
-        // The collector RIB at the horizon start: the MOAS detector's
-        // baseline. Scenario-level (the timeline could in principle start
-        // with an already-active incident).
-        self.cached(&self.artifacts, "bgp.rib_baseline", || {
-            let sim = BgpSimulator::new(&self.scenario);
-            let rib = bgp_sim::RibSnapshot::capture(
-                &self.scenario,
-                sim.collectors(),
-                self.scenario.horizon.start,
-            );
+        let scenario = &self.scenario;
+        let start = scenario.horizon.start;
+        let (store, key) = if quiet_at(scenario, start) {
+            (&self.world_artifacts, format!("bgp.rib_quiet@{}", start.0))
+        } else {
+            (&self.artifacts, "bgp.rib_baseline".to_string())
+        };
+        self.cached(store, &key, || {
+            let sim = BgpSimulator::new(scenario);
+            let rib = RibSnapshot::capture(scenario, sim.collectors(), start);
             Ok(Value::native(F::RibSnapshot, rib, false))
         })
     }
+}
+
+/// Whether no link is down and no control-plane incident is active at
+/// `t`, so routing at `t` is the world's undisturbed routing. With no
+/// event active at all (the common case) the per-link scan is skipped.
+fn quiet_at(scenario: &Scenario, t: SimTime) -> bool {
+    !scenario.events.iter().any(|e| e.active_at(t))
+        || (scenario.links_down_at(t).is_empty() && scenario.control_plane_at(t).is_quiet())
 }
 
 // -- argument decoding --------------------------------------------------------
@@ -252,15 +279,19 @@ pub(crate) struct Args<'a> {
     function: &'a FunctionId,
     output: F,
     inputs: Vec<(&'static str, &'a Value)>,
+    /// The scenario's observable window; [`Args::window`] clips to it.
+    horizon: TimeWindow,
 }
 
 impl<'a> Args<'a> {
     /// Binds `named` to `tool`'s declared inputs, checking presence in
-    /// declared order; extra arguments are ignored.
+    /// declared order; extra arguments are ignored. `horizon` is the
+    /// scenario's observable window.
     pub(crate) fn decode(
         tool: &Tool,
         function: &'a FunctionId,
         named: &'a BTreeMap<String, Value>,
+        horizon: TimeWindow,
     ) -> Result<Args<'a>, ToolError> {
         let inputs = tool
             .inputs
@@ -270,7 +301,7 @@ impl<'a> Args<'a> {
                 None => Err(bad_argument(function, format!("missing argument {name}"))),
             })
             .collect::<Result<_, _>>()?;
-        Ok(Args { function, output: tool.output, inputs })
+        Ok(Args { function, output: tool.output, inputs, horizon })
     }
 
     /// Slot `i`'s raw value.
@@ -301,6 +332,25 @@ impl<'a> Args<'a> {
         let s: String = self.de(i)?;
         Region::parse(&s)
             .ok_or_else(|| bad_argument(self.function, format!("unknown region {s:?}")))
+    }
+
+    /// Parses slot `i` as a time window (reversed endpoints swap) clipped
+    /// to the scenario horizon, so every later time computation stays
+    /// inside it. A window that misses the horizon is a `BadArgument`:
+    /// nothing was measured there.
+    pub(crate) fn window(&self, i: usize) -> Result<TimeWindow, ToolError> {
+        let w: WindowArg = self.de(i)?;
+        let w = TimeWindow::new(SimTime(w.start), SimTime(w.end));
+        let (start, end) = (w.start.max(self.horizon.start), w.end.min(self.horizon.end));
+        if start >= end {
+            let (name, h) = (self.slot(i)?.0, self.horizon);
+            let message = format!(
+                "argument {name}: [{}, {}) does not overlap the scenario horizon [{}, {})",
+                w.start.0, w.end.0, h.start.0, h.end.0
+            );
+            return Err(bad_argument(self.function, message));
+        }
+        Ok(TimeWindow::new(start, end))
     }
 
     /// Wraps a substrate result as a native (non-empty) artifact of the
@@ -348,16 +398,11 @@ pub(crate) fn view_of<'a, T: serde::de::DeserializeOwned + 'static>(
     })
 }
 
+/// A time window as the model writes it.
 #[derive(serde::Deserialize)]
-pub(crate) struct WindowArg {
-    pub(crate) start: i64,
-    pub(crate) end: i64,
-}
-
-impl WindowArg {
-    pub(crate) fn to_window(&self) -> TimeWindow {
-        TimeWindow::new(SimTime(self.start), SimTime(self.end))
-    }
+struct WindowArg {
+    start: i64,
+    end: i64,
 }
 
 impl ToolRuntime for StandardRuntime {
@@ -369,7 +414,7 @@ impl ToolRuntime for StandardRuntime {
         args: &BTreeMap<String, Value>,
     ) -> Result<Value, ToolError> {
         let tool = catalog::tool(function).ok_or_else(|| ToolError::Unbound(function.clone()))?;
-        (tool.run)(self, &Args::decode(tool, function, args)?)
+        (tool.run)(self, &Args::decode(tool, function, args, self.scenario.horizon)?)
     }
 }
 
@@ -757,6 +802,166 @@ mod tests {
         let counters = recorder.metrics_snapshot();
         assert_eq!(counters.counter("artifact_cache.miss"), 1);
         assert_eq!(counters.counter("artifact_cache.hit"), 1);
+    }
+
+    #[test]
+    fn model_chosen_windows_are_clipped_to_the_horizon_or_rejected() {
+        // A one-day horizon with a cut inside it keeps the probe campaign
+        // small and the update stream non-empty.
+        let world = scenarios::standard_world();
+        let cable = world.cable_by_name("SeaMeWe-5").unwrap().id;
+        let cut = SimTime::EPOCH + SimDuration::hours(12);
+        let rt = StandardRuntime::new(
+            Scenario::quiet(world, 1).with_event(world::EventKind::CableCut { cable }, cut),
+        );
+        let h = rt.scenario().horizon;
+        let (max, min) = (i64::MAX, i64::MIN);
+        let cases = [
+            (h.start.0, h.end.0, true),
+            (h.end.0, h.start.0, true), // reversed endpoints swap
+            (min, max, true),           // clipped to the horizon
+            (-3_600, 3_600, true),      // overlaps the horizon start
+            (max - 100, max, false),    // would overflow `t + interval`
+            (min, min + 1, false),
+            (h.end.0, max, false), // starts where the half-open horizon ends
+            (5, 5, false),         // empty
+        ];
+        let updates = invoke(&rt, "bgp.updates", vec![("window", window_arg(h.start.0, h.end.0))])
+            .unwrap();
+        assert!(!updates.is_empty_payload(), "the cut churns");
+        for id in ["bgp.updates", "bgp.rib_snapshot", "bgp.detect_bursts", "traceroute.campaign"] {
+            for (start, end, overlaps) in cases {
+                // Extra arguments are ignored, so one binding serves all four.
+                let result = invoke(
+                    &rt,
+                    id,
+                    vec![
+                        ("window", window_arg(start, end)),
+                        ("updates", updates.clone()),
+                        ("src_region", tv(F::RegionScope, serde_json::json!("Europe"))),
+                        ("dst_region", tv(F::RegionScope, serde_json::json!("Asia"))),
+                    ],
+                );
+                match result {
+                    Ok(_) if overlaps => {}
+                    Err(ToolError::BadArgument { message, .. }) if !overlaps => {
+                        assert!(message.contains("does not overlap"), "{id}: {message}")
+                    }
+                    other => panic!("{id} over [{start}, {end}): {other:?}"),
+                }
+            }
+        }
+        // A clipped window serves exactly what the horizon itself serves.
+        let full = invoke(&rt, "bgp.updates", vec![("window", window_arg(min, max))]).unwrap();
+        assert_eq!(full, updates);
+        let campaign = |start, end| {
+            let args = vec![
+                ("src_region", tv(F::RegionScope, serde_json::json!("Europe"))),
+                ("dst_region", tv(F::RegionScope, serde_json::json!("Asia"))),
+                ("window", window_arg(start, end)),
+            ];
+            invoke(&rt, "traceroute.campaign", args).unwrap().parse::<CampaignData>().unwrap()
+        };
+        let clipped = campaign(min, max);
+        assert_eq!((clipped.window_start, clipped.window_end), (h.start.0, h.end.0));
+        assert_eq!(clipped.measurements.len(), campaign(h.start.0, h.end.0).measurements.len());
+    }
+
+    fn window_arg(start: i64, end: i64) -> Value {
+        tv(F::TimeWindow, serde_json::json!({"start": start, "end": end}))
+    }
+
+    /// The oracle path: a fresh `derive_updates` and a fresh baseline
+    /// capture, with no artifact store involved.
+    fn oracle_moas(scenario: &Scenario) -> (Vec<bgp_sim::BgpUpdate>, Vec<bgp_sim::MoasConflict>) {
+        let sim = BgpSimulator::new(scenario);
+        let updates: Vec<_> = bgp_sim::updates::derive_updates(scenario, sim.collectors())
+            .into_iter()
+            .filter(|u| scenario.horizon.contains(u.time))
+            .collect();
+        let baseline = RibSnapshot::capture(scenario, sim.collectors(), scenario.horizon.start);
+        let moas = bgp_sim::detect_moas_conflicts(&updates, &baseline);
+        (updates, moas)
+    }
+
+    #[test]
+    fn a_cut_active_at_the_horizon_start_keeps_a_per_scenario_baseline() {
+        let world = scenarios::standard_world();
+        let (hijacker, victim_prefix) = scenarios::cs5_actors(&world);
+        let cable = world.cable_by_name("SeaMeWe-5").unwrap().id;
+        let mut scenario = Scenario::quiet(world, 10);
+        scenario.push_event(
+            world::EventKind::CableCut { cable },
+            SimTime::EPOCH - SimDuration::days(1),
+            Some(SimTime::EPOCH + SimDuration::days(3)),
+        );
+        scenario.push_event(
+            world::EventKind::PrefixHijack { origin: hijacker, victim_prefix },
+            SimTime::EPOCH + SimDuration::days(6),
+            None,
+        );
+        assert!(!scenario.links_down_at(scenario.horizon.start).is_empty());
+        let (oracle_updates, oracle_moas) = oracle_moas(&scenario);
+        assert!(!oracle_moas.is_empty(), "the hijack surfaces");
+
+        // A quiet sibling first builds the world's shared start, which this
+        // scenario must not read.
+        let sibling = StandardRuntime::new(Scenario::quiet(scenario.world_handle(), 10));
+        let no_updates = Value::native(F::BgpUpdates, Vec::<bgp_sim::BgpUpdate>::new(), true);
+        invoke(&sibling, "bgp.detect_moas", vec![("updates", no_updates)]).unwrap();
+
+        let rt = StandardRuntime::new(scenario);
+        let h = rt.scenario().horizon;
+        let updates =
+            invoke(&rt, "bgp.updates", vec![("window", window_arg(h.start.0, h.end.0))]).unwrap();
+        let moas = invoke(&rt, "bgp.detect_moas", vec![("updates", updates.clone())]).unwrap();
+        assert_eq!(updates.json(), &serde_json::to_value(&oracle_updates).unwrap());
+        assert_eq!(moas.json(), &serde_json::to_value(&oracle_moas).unwrap());
+        assert!(rt.artifacts().contains("bgp.rib_baseline"), "the disturbed start is private");
+    }
+
+    #[test]
+    fn quiet_scenarios_over_one_world_share_one_baseline_capture() {
+        // A world no other test in this process builds, so its store is cold.
+        let config = world::WorldConfig { seed: 0x5155_4945_5452_4942, ..Default::default() };
+        let world: Arc<World> = Arc::new(world::generate(&config));
+        let recorder = Arc::new(telemetry::Recorder::new());
+        let runtime = |scenario: Scenario| {
+            StandardRuntime::new(scenario).with_recorder(Arc::clone(&recorder))
+        };
+        let cable = world.cables[0].id;
+        let quiet = runtime(Scenario::quiet(Arc::clone(&world), 10));
+        let cut = runtime(Scenario::quiet(Arc::clone(&world), 10).with_event(
+            world::EventKind::CableCut { cable },
+            SimTime::EPOCH + SimDuration::days(4),
+        ));
+        let no_updates = Value::native(F::BgpUpdates, Vec::<bgp_sim::BgpUpdate>::new(), true);
+        for rt in [&quiet, &cut] {
+            invoke(rt, "bgp.detect_moas", vec![("updates", no_updates.clone())]).unwrap();
+            assert!(rt.artifacts().is_empty(), "no per-scenario baseline slot");
+        }
+        let counters = recorder.metrics_snapshot();
+        assert_eq!(counters.counter("artifact_cache.miss"), 1);
+        assert_eq!(counters.counter("artifact_cache.hit"), 1);
+        assert!(quiet.world_artifacts().contains("bgp.rib_quiet@0"));
+        // Both serve the one capture: a pointer bump, not a copy.
+        let (a, b) = (quiet.baseline_rib_value().unwrap(), cut.baseline_rib_value().unwrap());
+        let pa: *const RibSnapshot = a.native_ref::<RibSnapshot>().unwrap();
+        let pb: *const RibSnapshot = b.native_ref::<RibSnapshot>().unwrap();
+        assert!(std::ptr::eq(pa, pb));
+        // And the stream's diff chain starts from that same capture.
+        let h = cut.scenario().horizon;
+        let ups =
+            invoke(&cut, "bgp.updates", vec![("window", window_arg(h.start.0, h.end.0))]).unwrap();
+        assert_eq!(ups.json(), &serde_json::to_value(&oracle_moas(cut.scenario()).0).unwrap());
+        // A quiet start at another instant is its own capture, stamped
+        // with its own time.
+        let mut later = Scenario::quiet(Arc::clone(&world), 10);
+        later.horizon = TimeWindow::new(SimTime(86_400), SimTime(11 * 86_400));
+        let later = StandardRuntime::new(later).baseline_rib_value().unwrap();
+        let rib = later.native_ref::<RibSnapshot>().unwrap();
+        assert_eq!(rib.at, SimTime(86_400));
+        assert!(!std::ptr::eq(rib, pa));
     }
 
     #[test]
